@@ -5,8 +5,8 @@ permutations through a chain of smaller bijections:
 
 * ``extract_element`` / ``insert_element`` — remove one distinguished element
   from an r-regular permutation, or put it back as the last entry of the
-  first cycle (mutually recursive case analysis on the first-cycle length
-  modulo r).
+  first cycle; by cycle lengths modulo r, one step may set off a chain of
+  insertions and extractions further down.
 * ``extend_regular`` — the size n -> n+1 bijection
   Reg_r(n) x [n+1] -> Reg_r(n+1) built on insertion.
 * ``grow_first_cycle`` / ``shrink_first_cycle`` — lengthen or shorten the
@@ -20,8 +20,9 @@ permutations through a chain of smaller bijections:
   permutation consists of colored singular cycles.
 
 "First cycle" always means the cycle containing the ground-set minimum,
-which is the first cycle in canonical order.  All functions are pure; all
-inputs are validated and violations raise ``DomainError``.
+which is the first cycle in canonical order.  Every map runs one loop over
+a stack of cycles (first cycle on top), so none recurses.  All functions are
+pure; all inputs are validated and violations raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -49,53 +50,79 @@ class ColoredFirstCycle(NamedTuple):
     color: int
 
 
-# -- element extraction / insertion (mutually recursive) ---------------------
+# -- the extract/insert loop --------------------------------------------------
 
 def _check_r(r) -> None:
     if not isinstance(r, int) or r < 2:
         raise DomainError(f"r must be an integer >= 2, got {r!r}")
 
 
-def _extract(cycles: tuple[Cycle, ...], r: int) -> tuple[int, tuple[Cycle, ...]]:
-    first = cycles[0]
-    rest = cycles[1:]
-    length = len(first)
-    x = first[-1]
-    if length == 1:
-        return x, rest
-    if length % r != 1:
-        return x, (first[:-1],) + rest
-    # length = 1 mod r and > 1: also pull out the second-to-last entry and
-    # re-insert it into the remaining cycles
-    second = first[-2]
-    return x, (first[:-2],) + _insert(second, rest, r)
+def _chain(stack: list[Cycle], r: int, x: int | None = None) -> None:
+    """Extract the last entry of the top cycle (x is None), or insert x on
+    top, following the extract -> insert -> extract chain; the cycles it
+    touches are set aside and pushed back at the end."""
+    aside: list[Cycle] = []
+    while True:
+        if x is None:
+            cycle = stack.pop()
+            if len(cycle) == 1:
+                break
+            if len(cycle) % r != 1:
+                stack.append(cycle[:-1])
+                break
+            aside.append(cycle[:-2])
+            x = cycle[-2]
+        elif not stack or x < stack[-1][0]:
+            stack.append((x,))
+            break
+        else:
+            cycle = stack.pop()
+            if len(cycle) % r != r - 1:
+                stack.append(cycle + (x,))
+                break
+            # append the entry that the next extraction takes, then x
+            aside.append(cycle + (stack[-1][-1], x))
+            x = None
+    if aside:
+        aside.reverse()
+        stack += aside
 
 
-def _insert(x: int, cycles: tuple[Cycle, ...], r: int) -> tuple[Cycle, ...]:
-    if not cycles or x < cycles[0][0]:
-        return ((x,),) + cycles
-    first = cycles[0]
-    rest = cycles[1:]
-    if len(first) % r != r - 1:
-        return (first + (x,),) + rest
-    # appending one entry would make the first cycle singular, so extract an
-    # extra element from the rest and append both
-    second, remainder = _extract(rest, r)
-    return (first + (second, x),) + remainder
+def _grow(stack: list[Cycle], r: int, steps: int) -> None:
+    """Append ``steps`` entries extracted from the rest to the top cycle."""
+    first = stack.pop()
+    for _ in range(steps):
+        first += (stack[-1][-1],)
+        _chain(stack, r)
+    stack.append(first)
+
+
+def _shrink(stack: list[Cycle], r: int, steps: int) -> None:
+    """Undo ``_grow``: insert the top cycle's last ``steps`` entries below."""
+    first = stack.pop()
+    for x in first[:-steps - 1:-1]:
+        _chain(stack, r, x)
+    stack.append(first[:-steps])
+
+
+def _on_stack(cycles: tuple[Cycle, ...], step, r: int, arg) -> Permutation:
+    """Run ``step(stack, r, arg)`` on a stack of ``cycles``."""
+    stack = list(cycles)
+    stack.reverse()
+    step(stack, r, arg)
+    stack.reverse()
+    return Permutation._from_canonical(tuple(stack))
 
 
 def extract_element(sigma: Permutation, r: int) -> DeltaOutput:
     """Split an r-regular permutation of S (|S| not a multiple of r) into a
     distinguished element x and an r-regular permutation of S minus x."""
     _check_r(r)
-    if not sigma.cycles:
-        raise DomainError("cannot extract from the empty permutation")
-    if sigma.size % r == 0:
+    if sigma.size % r == 0:  # also rejects the empty permutation
         raise DomainError(f"ground-set size {sigma.size} is a multiple of r={r}")
     if not is_regular(sigma, r):
         raise DomainError(f"{sigma} is not {r}-regular")
-    x, cycles = _extract(sigma.cycles, r)
-    return DeltaOutput(x, Permutation._from_canonical(cycles))
+    return DeltaOutput(sigma.cycles[0][-1], _on_stack(sigma.cycles, _chain, r, None))
 
 
 def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
@@ -110,7 +137,7 @@ def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
         raise DomainError(f"resulting size {pi.size + 1} would be a multiple of r={r}")
     if not is_regular(pi, r):
         raise DomainError(f"{pi} is not {r}-regular")
-    return Permutation._from_canonical(_insert(x, pi.cycles, r))
+    return _on_stack(pi.cycles, _chain, r, x)
 
 
 def extend_regular(sigma: Permutation, j: int, r: int) -> Permutation:
@@ -133,16 +160,6 @@ def extend_regular(sigma: Permutation, j: int, r: int) -> Permutation:
 
 # -- first-cycle growth -------------------------------------------------------
 
-def _grow(cycles: tuple[Cycle, ...], r: int) -> tuple[Cycle, ...]:
-    x, rest = _extract(cycles[1:], r)
-    return (cycles[0] + (x,),) + rest
-
-
-def _shrink(cycles: tuple[Cycle, ...], r: int) -> tuple[Cycle, ...]:
-    first = cycles[0]
-    return (first[:-1],) + _insert(first[-1], cycles[1:], r)
-
-
 def grow_first_cycle(sigma: Permutation, r: int) -> Permutation:
     """Move one element from the r-regular remainder to the end of the cycle
     containing the minimum (first-cycle length k -> k+1).  Requires that
@@ -155,7 +172,7 @@ def grow_first_cycle(sigma: Permutation, r: int) -> Permutation:
         raise DomainError(f"n-k={sigma.size - k} is a multiple of r={r}")
     if any(len(c) % r == 0 for c in sigma.cycles[1:]):
         raise DomainError("cycles beyond the first must be r-regular")
-    return Permutation._from_canonical(_grow(sigma.cycles, r))
+    return _on_stack(sigma.cycles, _grow, r, 1)
 
 
 def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
@@ -171,19 +188,10 @@ def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
         raise DomainError(f"n-k={pi.size - length + 1} is a multiple of r={r}")
     if any(len(c) % r == 0 for c in pi.cycles[1:]):
         raise DomainError("cycles beyond the first must be r-regular")
-    return Permutation._from_canonical(_shrink(pi.cycles, r))
+    return _on_stack(pi.cycles, _shrink, r, 1)
 
 
 # -- regular <-> nearly regular <-> enriched cycle permutations ---------------
-
-def _grow_to_singular(cycles: tuple[Cycle, ...], r: int) -> tuple[tuple[Cycle, ...], int]:
-    """Grow the first cycle to the next multiple of r; return the new cycles
-    and the original residue (the color)."""
-    color = len(cycles[0]) % r
-    for _ in range(r - color):
-        cycles = _grow(cycles, r)
-    return cycles, color
-
 
 def to_nearly_regular(sigma: Permutation, r: int) -> EnrichedPermutation:
     """Grow the first cycle of an r-regular permutation of a set of size rn
@@ -191,14 +199,13 @@ def to_nearly_regular(sigma: Permutation, r: int) -> EnrichedPermutation:
     _check_r(r)
     if not sigma.cycles:
         raise DomainError("the empty permutation has no first cycle to grow")
-    _check_r(r)
     if sigma.size % r != 0:
         raise DomainError(f"ground-set size {sigma.size} is not a multiple of r={r}")
     if not is_regular(sigma, r):
         raise DomainError(f"{sigma} is not {r}-regular")
-    cycles, color = _grow_to_singular(sigma.cycles, r)
-    colors = (color,) + (None,) * (len(cycles) - 1)
-    return EnrichedPermutation(Permutation._from_canonical(cycles), r, colors)
+    color = len(sigma.cycles[0]) % r
+    base = _on_stack(sigma.cycles, _grow, r, r - color)
+    return EnrichedPermutation(base, r, (color,) + (None,) * (len(base.cycles) - 1))
 
 
 def _require_nearly_regular(tau: EnrichedPermutation) -> int:
@@ -214,11 +221,7 @@ def from_nearly_regular(tau: EnrichedPermutation) -> Permutation:
     """Inverse of ``to_nearly_regular``: shrink the colored first cycle back
     to its recorded residue."""
     color = _require_nearly_regular(tau)
-    r = tau.r
-    cycles = tau.base.cycles
-    for _ in range(r - color):
-        cycles = _shrink(cycles, r)
-    return Permutation._from_canonical(cycles)
+    return _on_stack(tau.base.cycles, _shrink, tau.r, tau.r - color)
 
 
 def split_nearly_regular(tau: EnrichedPermutation) -> tuple[ColoredFirstCycle, Permutation]:
@@ -234,20 +237,19 @@ def to_enriched_cycles(sigma: Permutation, r: int) -> EnrichedPermutation:
     singular cycles by repeatedly growing-and-peeling the first cycle.  The
     cycle containing the minimum has length r(k+1) when the input first
     cycle had length rk+i, and carries color i."""
+    _check_r(r)
     if sigma.size % r != 0:
         raise DomainError(f"ground-set size {sigma.size} is not a multiple of r={r}")
     if not is_regular(sigma, r):
         raise DomainError(f"{sigma} is not {r}-regular")
-    work = sigma.cycles
-    peeled: list[ColoredFirstCycle] = []
-    while work:
-        work, color = _grow_to_singular(work, r)
-        peeled.append(ColoredFirstCycle(work[0], color))
-        work = work[1:]
+    stack = list(reversed(sigma.cycles))
+    cycles, colors = [], []
+    while stack:
+        colors.append(len(stack[-1]) % r)
+        _grow(stack, r, r - colors[-1])
+        cycles.append(stack.pop())
     # peel order equals increasing-minima order, so this is already canonical
-    cycles = tuple(item.cycle for item in peeled)
-    colors = tuple(item.color for item in peeled)
-    return EnrichedPermutation(Permutation._from_canonical(cycles), r, colors)
+    return EnrichedPermutation(Permutation._from_canonical(tuple(cycles)), r, colors)
 
 
 def from_enriched_cycles(tau: EnrichedPermutation) -> Permutation:
@@ -256,13 +258,11 @@ def from_enriched_cycles(tau: EnrichedPermutation) -> Permutation:
     if any(c is None for c in tau.color_seq):
         raise DomainError("every cycle must be singular and colored")
     r = tau.r
-    current: tuple[Cycle, ...] = ()
+    stack: list[Cycle] = []
     for cyc, color in reversed(list(zip(tau.base.cycles, tau.color_seq))):
-        work = (cyc,) + current
-        for _ in range(r - color):
-            work = _shrink(work, r)
-        current = work
-    return Permutation._from_canonical(current)
+        stack.append(cyc)
+        _shrink(stack, r, r - color)
+    return Permutation._from_canonical(tuple(reversed(stack)))
 
 
 # -- merging a class of equal-length cycles -----------------------------------

@@ -74,6 +74,12 @@ class TestMap:
         assert code == 2
         assert "error" in err
 
+    def test_bad_r_exits_2_without_traceback(self, capsys):
+        code, _, err = run_cli(capsys, "map", "Phi", "--r", "0", "(1 2)")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestRoot:
     def test_root_with_witness(self, capsys):
