@@ -46,15 +46,19 @@ for r, n in ((2, 8), (3, 9)):
 
 print()
 print("== p_r(n): probability of an r-th root, exact ==")
-header = "r\\n " + "".join(f"{n:>9}" for n in range(1, 13))
+header = "r\\n " + "".join(f"{n:>10}" for n in range(1, 13))
 print(header)
-for r in (2, 3, 5, 4, 8, 9):
-    row = "".join(f"{str(prob_root(r, n)):>9}" for n in range(1, 13))
+for r in (2, 3, 5, 4, 8, 9, 6):
+    row = "".join(f"{str(prob_root(r, n)):>10}" for n in range(1, 13))
     print(f"{r:<4}{row}")
 
 print()
 print("== monotone for prime powers, not in general ==")
-print(f"p_6(4) = {prob_root(6, 4)}   p_6(5) = {prob_root(6, 5)}   (increases!)")
+p6 = [prob_root(6, n) for n in range(1, 13)]
+print("r = 6 is not a prime power, and p_6(n) rises over n = 1..12:")
+for n, (a, b) in enumerate(zip(p6, p6[1:]), start=1):
+    if a < b:
+        print(f"  p_6({n}) = {a} < p_6({n + 1}) = {b}")
 seq = root_count_sequence(2, 16)
 probs = [Fraction(seq[n], factorial(n)) for n in range(1, 17)]
 drops = sum(1 for a, b in zip(probs, probs[1:]) if a > b)

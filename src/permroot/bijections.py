@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError, InvalidPermutationError
+from .errors import DomainError, InvalidPermutationError, check_modulus
 from .families import is_regular
 from .permutation import Cycle, EnrichedPermutation, Permutation
 
@@ -51,11 +51,6 @@ class ColoredFirstCycle(NamedTuple):
 
 
 # -- the extract/insert loop --------------------------------------------------
-
-def _check_r(r) -> None:
-    if not isinstance(r, int) or r < 2:
-        raise DomainError(f"r must be an integer >= 2, got {r!r}")
-
 
 def _chain(stack: list[Cycle], r: int, x: int | None = None) -> None:
     """Extract the last entry of the top cycle (x is None), or insert x on
@@ -117,7 +112,7 @@ def _on_stack(cycles: tuple[Cycle, ...], step, r: int, arg) -> Permutation:
 def extract_element(sigma: Permutation, r: int) -> DeltaOutput:
     """Split an r-regular permutation of S (|S| not a multiple of r) into a
     distinguished element x and an r-regular permutation of S minus x."""
-    _check_r(r)
+    check_modulus(r, "r")
     if sigma.size % r == 0:  # also rejects the empty permutation
         raise DomainError(f"ground-set size {sigma.size} is a multiple of r={r}")
     if not is_regular(sigma, r):
@@ -128,7 +123,7 @@ def extract_element(sigma: Permutation, r: int) -> DeltaOutput:
 def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
     """Inverse of ``extract_element``: place x as the last entry of the first
     cycle of the result.  Requires |pi| + 1 not a multiple of r."""
-    _check_r(r)
+    check_modulus(r, "r")
     if not isinstance(x, int) or x < 1:
         raise DomainError(f"distinguished element must be a positive integer, got {x!r}")
     if x in pi.ground_set():
@@ -143,7 +138,7 @@ def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
 def extend_regular(sigma: Permutation, j: int, r: int) -> Permutation:
     """The bijection Reg_r(n) x [n+1] -> Reg_r(n+1) (n+1 not a multiple of r):
     relabel [n+1] minus j order-preservingly onto [n], undone by insertion."""
-    _check_r(r)
+    check_modulus(r, "r")
     n = sigma.size
     if sigma.ground_set() != frozenset(range(1, n + 1)):
         raise DomainError(f"ground set is not [{n}]")
@@ -164,7 +159,7 @@ def grow_first_cycle(sigma: Permutation, r: int) -> Permutation:
     """Move one element from the r-regular remainder to the end of the cycle
     containing the minimum (first-cycle length k -> k+1).  Requires that
     n - k is not a multiple of r."""
-    _check_r(r)
+    check_modulus(r, "r")
     if not sigma.cycles:
         raise DomainError("cannot grow the empty permutation")
     k = len(sigma.cycles[0])
@@ -178,7 +173,7 @@ def grow_first_cycle(sigma: Permutation, r: int) -> Permutation:
 def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
     """Inverse of ``grow_first_cycle``: drop the last entry of the first
     cycle and re-insert it into the remainder."""
-    _check_r(r)
+    check_modulus(r, "r")
     if not pi.cycles:
         raise DomainError("cannot shrink the empty permutation")
     length = len(pi.cycles[0])
@@ -196,7 +191,7 @@ def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
 def to_nearly_regular(sigma: Permutation, r: int) -> EnrichedPermutation:
     """Grow the first cycle of an r-regular permutation of a set of size rn
     to length r(k+1) and color it with the residue i it started from."""
-    _check_r(r)
+    check_modulus(r, "r")
     if not sigma.cycles:
         raise DomainError("the empty permutation has no first cycle to grow")
     if sigma.size % r != 0:
@@ -237,7 +232,7 @@ def to_enriched_cycles(sigma: Permutation, r: int) -> EnrichedPermutation:
     singular cycles by repeatedly growing-and-peeling the first cycle.  The
     cycle containing the minimum has length r(k+1) when the input first
     cycle had length rk+i, and carries color i."""
-    _check_r(r)
+    check_modulus(r, "r")
     if sigma.size % r != 0:
         raise DomainError(f"ground-set size {sigma.size} is not a multiple of r={r}")
     if not is_regular(sigma, r):

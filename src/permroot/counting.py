@@ -12,12 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import DomainError
+from .errors import DomainError, check_modulus
 from .families import DEFAULT_ENUMERATION_BOUND, FamilySpec, enumerate_family
 from .permutation import CycleType
-from .roots import brute_force_root_table, prime_power_decomposition
-
-ORACLE_COUNT_BOUND = 7
+from .roots import smallest_bunch_size
 
 _METHODS = ("formula", "recurrence", "enumerate")
 
@@ -58,13 +56,8 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _check_modulus(value: int, name: str) -> None:
-    if not isinstance(value, int) or value < 2:
-        raise DomainError(f"{name} must be an integer >= 2, got {value!r}")
-
-
 def _check_params(r: int, n: int) -> None:
-    _check_modulus(r, "r")
+    check_modulus(r, "r")
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
 
@@ -189,7 +182,7 @@ def count_enriched_cyc(r: int, n: int) -> int:
 def count_cyc_qr(q: int, r: int, n: int) -> int:
     """|Cyc_{q,r}(n)|: permutations of [n] where every cycle length is a
     multiple of q and every length occurs a multiple of r times."""
-    _check_modulus(q, "q")
+    check_modulus(q, "q")
     _check_params(r, n)
     if n == 0:
         return 1
@@ -227,7 +220,7 @@ def count_AP(n: int, k: int, parity: str) -> int:
 def count_S_rho_q(rho: CycleType, q: int, n: int) -> int:
     """|S_{rho,q}(n)|: permutations of [n] whose q-singular part has cycle
     type rho; the q-regular remainder is free."""
-    _check_modulus(q, "q")
+    check_modulus(q, "q")
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
     if any(ln % q != 0 for ln in rho.lengths()):
@@ -240,32 +233,22 @@ def count_S_rho_q(rho: CycleType, q: int, n: int) -> int:
 # -- root counting --------------------------------------------------------------
 
 def root_count_sequence(r: int, upto: int) -> list[int]:
-    """|S_n^r| for n = 0..upto, prime powers r only (single DP pass)."""
-    decomposition = prime_power_decomposition(r)
-    if decomposition is None:
-        raise DomainError(f"r={r} is not a prime power; use count_roots for n <= {ORACLE_COUNT_BOUND}")
-    q, _ = decomposition
+    """|S_n^r| for n = 0..upto, for any r >= 2 and any upto, in one DP pass.
+
+    The number of cycles of each length L must be a multiple of
+    ``smallest_bunch_size(L, r)`` (see ``roots``).
+    """
+    _check_params(r, upto)
     specs = [
-        (length, r if length % q == 0 else 1, 1) for length in range(1, upto + 1)
+        (length, smallest_bunch_size(length, r), 1) for length in range(1, upto + 1)
     ]
     return _type_dp(upto, specs)
 
 
 def count_roots(r: int, n: int) -> int:
-    """|S_n^r|, the number of permutations of [n] having an r-th root.
-
-    Prime powers are counted exactly for any n by restricting cycle-type
-    multiplicities; other r fall back to the brute-force oracle and are
-    limited to n <= ORACLE_COUNT_BOUND.
-    """
-    _check_params(r, n)
-    if prime_power_decomposition(r) is not None:
-        return root_count_sequence(r, n)[n]
-    if n > ORACLE_COUNT_BOUND:
-        raise DomainError(
-            f"r={r} is not a prime power; exact counting is limited to n <= {ORACLE_COUNT_BOUND}"
-        )
-    return len(brute_force_root_table(n, r))
+    """|S_n^r|, the number of permutations of [n] having an r-th root,
+    exact for any r >= 2 and any n."""
+    return root_count_sequence(r, n)[n]
 
 
 def prob_root(r: int, n: int) -> Fraction:

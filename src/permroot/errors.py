@@ -29,3 +29,9 @@ class EnumerationBoundError(DomainError):
 
 class SequenceLookupError(PermrootError, RuntimeError):
     """An OEIS b-file could not be fetched or parsed."""
+
+
+def check_modulus(value, name: str) -> None:
+    """Raise DomainError unless ``value`` is an integer >= 2."""
+    if not isinstance(value, int) or value < 2:
+        raise DomainError(f"{name} must be an integer >= 2, got {value!r}")

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, EnumerationBoundError
+from .errors import DomainError, EnumerationBoundError, check_modulus
 from .permutation import CycleType, EnrichedPermutation, Permutation
 
 DEFAULT_ENUMERATION_BOUND = 10
@@ -50,11 +50,11 @@ class FamilySpec:
         if not isinstance(self.n, int) or self.n < 0:
             raise DomainError(f"n must be a nonnegative integer, got {self.n!r}")
         if self.tag in (REGULAR, CYCLE, NEARLY_REGULAR, FIRST_CYCLE, WITH_ROOT):
-            _check_modulus(self.r, "r")
+            check_modulus(self.r, "r")
         if self.tag in (UNIFORM_MULTIPLES, SINGULAR_TYPE):
-            _check_modulus(self.q, "q")
+            check_modulus(self.q, "q")
         if self.tag == UNIFORM_MULTIPLES:
-            _check_modulus(self.r, "r")
+            check_modulus(self.r, "r")
         if self.tag in (FIRST_CYCLE, ODD_WITH_FIRST, EVEN_FIRST):
             if not isinstance(self.k, int) or self.k < 1:
                 raise DomainError(f"k must be a positive integer, got {self.k!r}")
@@ -110,27 +110,22 @@ class FamilySpec:
         return cls(ALL, n)
 
 
-def _check_modulus(value, name):
-    if not isinstance(value, int) or value < 2:
-        raise DomainError(f"{name} must be an integer >= 2, got {value!r}")
-
-
 # -- predicates on whole permutations (any ground set) ----------------------
 
 def is_regular(p: Permutation, r: int) -> bool:
-    _check_modulus(r, "r")
+    check_modulus(r, "r")
     return all(len(c) % r != 0 for c in p.cycles)
 
 
 def is_cycle_permutation(p: Permutation, r: int) -> bool:
-    _check_modulus(r, "r")
+    check_modulus(r, "r")
     return all(len(c) % r == 0 for c in p.cycles)
 
 
 def is_nearly_regular(p: Permutation, r: int) -> bool:
     """Every cycle regular except the one containing the ground-set minimum,
     which is singular.  False for the empty permutation."""
-    _check_modulus(r, "r")
+    check_modulus(r, "r")
     if not p.cycles:
         return False
     first, rest = p.cycles[0], p.cycles[1:]

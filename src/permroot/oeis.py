@@ -104,6 +104,21 @@ def _cache_text(oeis_id: str, cache_dir) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in the same directory,
+    renamed into place; the temp file is removed if anything fails."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _network_text(oeis_id: str, cache_dir, timeout: float) -> str:
     url = f"https://oeis.org/{oeis_id}/{_bfile_name(oeis_id)}"
     try:
@@ -111,17 +126,7 @@ def _network_text(oeis_id: str, cache_dir, timeout: float) -> str:
             text = resp.read().decode("utf-8")
     except OSError as exc:
         raise SequenceLookupError(f"fetching {url} failed: {exc}") from exc
-    directory = cache_directory(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=_bfile_name(oeis_id))
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, directory / _bfile_name(oeis_id))
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(cache_directory(cache_dir) / _bfile_name(oeis_id), text)
     return text
 
 
@@ -152,14 +157,8 @@ def prime_cache_from_fixture(
     """Copy the vendored snapshot into the cache (atomic), for offline use of
     the cache source."""
     _check_id(oeis_id)
-    text = _fixture_text(oeis_id)
-    directory = cache_directory(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    target = directory / _bfile_name(oeis_id)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=target.name)
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, target)
+    target = cache_directory(cache_dir) / _bfile_name(oeis_id)
+    _atomic_write(target, _fixture_text(oeis_id))
     return target
 
 

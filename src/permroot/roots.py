@@ -2,9 +2,12 @@
 
 A cycle of length m in pi contributes gcd(m, r) cycles of length
 m / gcd(m, r) to pi**r.  Root existence therefore depends only on the cycle
-type: for each cycle length the count must decompose into admissible bunch
-sizes.  For prime powers r = q**l this collapses to the classical criterion
-that every count of cycles whose length is divisible by q is a multiple of r.
+type: the cycles of each length must split into bunches of admissible
+sizes.  Every admissible size is a multiple of the smallest one, which is
+admissible itself, so the rule is one step per length: the count of cycles
+of length L must be a multiple of ``smallest_bunch_size(L, r)``.  For prime
+powers r = q**l that step is r when q divides L and 1 otherwise, the
+classical criterion.
 
 Construction stays brute force and is the independent oracle the criteria
 are validated against.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, check_modulus
 from .permutation import CycleType, Permutation
 
 BRUTE_FORCE_BOUND = 8
@@ -62,8 +65,7 @@ class RootQuery:
 
     @classmethod
     def make(cls, target: Permutation, r: int) -> "RootQuery":
-        if not isinstance(r, int) or r < 2:
-            raise DomainError(f"root degree must be an integer >= 2, got {r!r}")
+        check_modulus(r, "root degree")
         return cls(target, r, prime_power_decomposition(r))
 
 
@@ -88,19 +90,19 @@ def bunch_sizes(length: int, r: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, r + 1) if r % d == 0 and gcd(d * length, r) == d)
 
 
-@lru_cache(maxsize=None)
-def _feasible(count: int, sizes: tuple[int, ...]) -> bool:
-    """Can ``count`` be written as a nonnegative integer combination of sizes?"""
-    if 1 in sizes:
-        return True
-    reachable = bytearray(count + 1)
-    reachable[0] = 1
-    for total in range(1, count + 1):
-        for d in sizes:
-            if d <= total and reachable[total - d]:
-                reachable[total] = 1
-                break
-    return bool(reachable[count])
+def smallest_bunch_size(length: int, r: int) -> int:
+    """``bunch_sizes(length, r)[0]`` in O(log r) steps: the part of r made of
+    the primes that divide length.
+
+    d is admissible iff d = d0 * e, where d0 is the product of p**v_p(r) over
+    the primes p dividing gcd(length, r) and e divides the part of r coprime
+    to length.  So d0 is admissible and divides every admissible size: a
+    count of cycles of this length splits into bunches iff d0 divides it.
+    """
+    coprime = r
+    while (g := gcd(coprime, length)) > 1:
+        coprime //= g
+    return r // coprime
 
 
 @lru_cache(maxsize=None)
@@ -110,23 +112,21 @@ def type_has_root(lengths: tuple[int, ...], r: int) -> bool:
     for length in lengths:
         counts[length] = counts.get(length, 0) + 1
     return all(
-        _feasible(count, bunch_sizes(length, r)) for length, count in counts.items()
+        count % smallest_bunch_size(length, r) == 0 for length, count in counts.items()
     )
 
 
 def has_root_general(sigma: Permutation, r: int) -> bool:
-    """Root existence for arbitrary r >= 2 via per-length feasibility."""
-    if not isinstance(r, int) or r < 2:
-        raise DomainError(f"root degree must be an integer >= 2, got {r!r}")
+    """Root existence for arbitrary r >= 2 via the per-length step rule."""
+    check_modulus(r, "root degree")
     return type_has_root(tuple(sorted(sigma.cycle_lengths())), r)
 
 
 def is_qr_divisible(rho: CycleType, q: int, r: int) -> bool:
     """True iff every length in rho is divisible by q and every multiplicity
     is divisible by r; vacuously true for the empty type."""
-    for name, value in (("q", q), ("r", r)):
-        if not isinstance(value, int) or value < 2:
-            raise DomainError(f"{name} must be an integer >= 2, got {value!r}")
+    check_modulus(q, "q")
+    check_modulus(r, "r")
     return all(ln % q == 0 and ct % r == 0 for ln, ct in rho.pairs)
 
 
@@ -159,8 +159,7 @@ def _power_image(
 def find_root_bruteforce(sigma: Permutation, r: int) -> Permutation | None:
     """The lexicographically least pi with pi**r = sigma, or None.  Bounded
     to ground sets of at most BRUTE_FORCE_BOUND elements."""
-    if not isinstance(r, int) or r < 2:
-        raise DomainError(f"root degree must be an integer >= 2, got {r!r}")
+    check_modulus(r, "root degree")
     if sigma.size > BRUTE_FORCE_BOUND:
         raise DomainError(
             f"brute-force search is limited to {BRUTE_FORCE_BOUND} elements, got {sigma.size}"

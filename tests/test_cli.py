@@ -135,6 +135,19 @@ class TestCountProb:
             jsonschema.validate(payload, SCHEMAS["count"])
             assert payload["value"] == expected
 
+    def test_count_roots_for_any_r(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--family", "roots", "--r", "6", "--n", "8")
+        assert code == 0 and out.strip() == "8680"
+        code, payload, _ = run_json(
+            capsys, "count", "--family", "roots", "--r", "6", "--n", "8", "--method", "all"
+        )
+        assert code == 0
+        assert payload["methods"] == {"formula": "8680", "enumerate": "8680"}
+
+    def test_prob_non_prime_power(self, capsys):
+        code, out, _ = run_cli(capsys, "prob", "--r", "10", "--n", "30")
+        assert code == 0 and out.strip() == "6441528799633/54486432000000"
+
     def test_prob_table_values(self, capsys):
         code, out, _ = run_cli(capsys, "prob", "--r", "2", "--n", "12")
         assert code == 0 and out.strip() == "209/720"

@@ -21,8 +21,8 @@ from permroot.counting import (
 )
 from permroot.errors import DomainError
 from permroot.families import FamilySpec, enumerate_family
-from permroot.permutation import parse_cycle_type
-from permroot.roots import brute_force_root_table
+from permroot.permutation import CycleType, parse_cycle_type
+from permroot.roots import brute_force_root_table, type_has_root
 
 
 class TestSmallHelpers:
@@ -216,22 +216,40 @@ class TestRootCounts:
         assert [count_roots(2, n) for n in range(1, 8)] == [1, 1, 3, 12, 60, 270, 1890]
 
     def test_dp_matches_oracle_for_prime_powers(self):
-        for r in (2, 3, 4):
-            for n in range(0, 7):
+        for r in range(2, 13):
+            for n in range(0, 8):
                 assert count_roots(r, n) == len(brute_force_root_table(n, r))
+        for r, expected in ((6, 8680), (10, 10248), (12, 7210)):
+            assert count_roots(r, 8) == len(brute_force_root_table(8, r)) == expected
 
-    def test_general_r_bounded(self):
+    def test_matches_sum_over_types_with_roots(self):
+        for r in range(2, 13):
+            for n in range(0, 21):
+                expected = sum(
+                    count_of_type(CycleType.of_lengths(lengths))
+                    for lengths in _partitions(n, n)
+                    if type_has_root(lengths, r)
+                )
+                assert count_roots(r, n) == expected
+
+    def test_general_r(self):
         assert prob_root(6, 4) == Fraction(1, 6)
         assert prob_root(6, 5) == Fraction(1, 3)
-        with pytest.raises(DomainError):
-            count_roots(6, 8)
+        assert count_roots(6, 8) == 8680
 
     def test_sequence_consistent(self):
         seq = root_count_sequence(2, 12)
         assert seq[12] == count_roots(2, 12)
         assert Fraction(seq[12], factorial(12)) == Fraction(209, 720)
-        with pytest.raises(DomainError):
-            root_count_sequence(6, 10)
+        seq = root_count_sequence(6, 10)
+        assert Fraction(seq[10], factorial(10)) == Fraction(3, 32)
+
+    def test_rejects_bad_parameters(self):
+        for call in (count_roots, root_count_sequence):
+            with pytest.raises(DomainError):
+                call(1, 5)
+            with pytest.raises(DomainError):
+                call(2, -1)
 
 
 class TestRegularProportion:
@@ -246,3 +264,13 @@ class TestRegularProportion:
                 assert regular_proportion_product(r, n) == Fraction(
                     count_reg(r, n), factorial(n)
                 )
+
+
+def _partitions(total, largest):
+    """Partitions of total into parts <= largest, as sorted tuples."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(1, min(total, largest) + 1):
+        for rest in _partitions(total - part, part):
+            yield rest + (part,)

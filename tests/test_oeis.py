@@ -1,3 +1,4 @@
+import os
 import urllib.request
 
 import pytest
@@ -51,6 +52,15 @@ class TestFetch:
         prime_cache_from_fixture("A001818")
         assert (tmp_path / "b001818.txt").is_file()
         assert fetch("A001818", source="cache") == fetch("A001818", source="fixture")
+
+    def test_failed_cache_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            prime_cache_from_fixture("A247005", cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_network_fetch_stores_cache(self, tmp_path, monkeypatch):
         payload = b"# comment line\n0 1\n1 7\n"

@@ -14,6 +14,7 @@ from permroot.roots import (
     has_root_prime_power,
     is_qr_divisible,
     prime_power_decomposition,
+    smallest_bunch_size,
 )
 
 
@@ -47,6 +48,13 @@ class TestGeneralCriterion:
         assert bunch_sizes(1, 3) == (1, 3)
         assert bunch_sizes(3, 3) == (3,)
         assert bunch_sizes(2, 3) == (1, 3)
+
+    def test_bunch_sizes_are_multiples_of_the_smallest(self):
+        for r in range(1, 61):
+            for length in range(1, 61):
+                sizes = bunch_sizes(length, r)
+                assert sizes[0] == smallest_bunch_size(length, r)
+                assert all(d % sizes[0] == 0 for d in sizes)
 
     def test_matches_prime_power_criterion(self):
         for n in range(0, 8):
@@ -123,6 +131,15 @@ class TestRootQuery:
     def test_rejects_bad_degree(self, P):
         with pytest.raises(DomainError):
             RootQuery.make(P("(1 2)"), 1)
+
+    def test_bad_degree_messages(self, P):
+        sigma = P("(1 2)")
+        message = r"^root degree must be an integer >= 2, got 1$"
+        for call in (RootQuery.make, has_root_general, find_root_bruteforce):
+            with pytest.raises(DomainError, match=message):
+                call(sigma, 1)
+        with pytest.raises(DomainError, match=r"^r must be an integer >= 2, got 'x'$"):
+            is_qr_divisible(parse_cycle_type("2^2"), 2, "x")
 
 
 def _partitions(total):
