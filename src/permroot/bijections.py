@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InvalidPermutationError, check_modulus
-from .families import is_regular
 from .permutation import Cycle, EnrichedPermutation, Permutation
 
 
@@ -109,13 +108,18 @@ def _on_stack(cycles: tuple[Cycle, ...], step, r: int, arg) -> Permutation:
     return Permutation._from_canonical(tuple(stack))
 
 
+def _regular(cycles: Sequence[Cycle], r: int) -> bool:
+    """No cycle length is a multiple of r; r is already checked."""
+    return all(len(c) % r for c in cycles)
+
+
 def extract_element(sigma: Permutation, r: int) -> DeltaOutput:
     """Split an r-regular permutation of S (|S| not a multiple of r) into a
     distinguished element x and an r-regular permutation of S minus x."""
     check_modulus(r, "r")
     if sigma.size % r == 0:  # also rejects the empty permutation
         raise DomainError(f"ground-set size {sigma.size} is a multiple of r={r}")
-    if not is_regular(sigma, r):
+    if not _regular(sigma.cycles, r):
         raise DomainError(f"{sigma} is not {r}-regular")
     return DeltaOutput(sigma.cycles[0][-1], _on_stack(sigma.cycles, _chain, r, None))
 
@@ -130,7 +134,7 @@ def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
         raise DomainError(f"element {x} already occurs in {pi}")
     if (pi.size + 1) % r == 0:
         raise DomainError(f"resulting size {pi.size + 1} would be a multiple of r={r}")
-    if not is_regular(pi, r):
+    if not _regular(pi.cycles, r):
         raise DomainError(f"{pi} is not {r}-regular")
     return _on_stack(pi.cycles, _chain, r, x)
 
@@ -146,7 +150,7 @@ def extend_regular(sigma: Permutation, j: int, r: int) -> Permutation:
         raise DomainError(f"n+1={n + 1} is a multiple of r={r}")
     if not isinstance(j, int) or not 1 <= j <= n + 1:
         raise DomainError(f"j must lie in 1..{n + 1}, got {j!r}")
-    if not is_regular(sigma, r):
+    if not _regular(sigma.cycles, r):
         raise DomainError(f"{sigma} is not {r}-regular")
     labels = [e for e in range(1, n + 2) if e != j]
     relabeled = sigma.relabel({i + 1: lab for i, lab in enumerate(labels)})
@@ -165,7 +169,7 @@ def grow_first_cycle(sigma: Permutation, r: int) -> Permutation:
     k = len(sigma.cycles[0])
     if (sigma.size - k) % r == 0:
         raise DomainError(f"n-k={sigma.size - k} is a multiple of r={r}")
-    if any(len(c) % r == 0 for c in sigma.cycles[1:]):
+    if not _regular(sigma.cycles[1:], r):
         raise DomainError("cycles beyond the first must be r-regular")
     return _on_stack(sigma.cycles, _grow, r, 1)
 
@@ -181,7 +185,7 @@ def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
         raise DomainError("first cycle has no entry to remove")
     if (pi.size - length + 1) % r == 0:
         raise DomainError(f"n-k={pi.size - length + 1} is a multiple of r={r}")
-    if any(len(c) % r == 0 for c in pi.cycles[1:]):
+    if not _regular(pi.cycles[1:], r):
         raise DomainError("cycles beyond the first must be r-regular")
     return _on_stack(pi.cycles, _shrink, r, 1)
 
@@ -196,7 +200,7 @@ def to_nearly_regular(sigma: Permutation, r: int) -> EnrichedPermutation:
         raise DomainError("the empty permutation has no first cycle to grow")
     if sigma.size % r != 0:
         raise DomainError(f"ground-set size {sigma.size} is not a multiple of r={r}")
-    if not is_regular(sigma, r):
+    if not _regular(sigma.cycles, r):
         raise DomainError(f"{sigma} is not {r}-regular")
     color = len(sigma.cycles[0]) % r
     base = _on_stack(sigma.cycles, _grow, r, r - color)
@@ -235,7 +239,7 @@ def to_enriched_cycles(sigma: Permutation, r: int) -> EnrichedPermutation:
     check_modulus(r, "r")
     if sigma.size % r != 0:
         raise DomainError(f"ground-set size {sigma.size} is not a multiple of r={r}")
-    if not is_regular(sigma, r):
+    if not _regular(sigma.cycles, r):
         raise DomainError(f"{sigma} is not {r}-regular")
     stack = list(reversed(sigma.cycles))
     cycles, colors = [], []

@@ -5,12 +5,20 @@ arithmetic; no floating point on any path.  Each family is counted
 redundantly (closed formula, recurrence, dynamic programming over cycle
 types, and at small sizes enumeration) so the routes can be checked against
 one another.
+
+Root counts, enriched cycle permutations and uniform-type families all come
+from one DP over cycle types, ``_type_dp``.  It works on EGF coefficients
+scaled by n!, so they stay integers: one exponential-formula pass handles
+every cycle length with free multiplicity (one small multiply-add per term
+and one exact division per size), then one convolution per length whose
+multiplicity must be a multiple of a step s > 1 (one exact division by a
+small integer per term).  No binomial or factorial is recomputed per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import DomainError, check_modulus
 from .families import DEFAULT_ENUMERATION_BOUND, FamilySpec, enumerate_family
@@ -133,12 +141,6 @@ def count_cyc(
 
 # -- dynamic programming over cycle types --------------------------------------
 
-def _cycle_arrangements(j: int, length: int) -> int:
-    """Ways to arrange j unordered cycles of the given length on a fixed set
-    of j*length elements."""
-    return _exact_div(factorial(j * length), length**j * factorial(j))
-
-
 def _type_dp(n: int, length_specs) -> list[int]:
     """Count permutations by admissible cycle types.
 
@@ -146,24 +148,60 @@ def _type_dp(n: int, length_specs) -> list[int]:
     cycle length are restricted to multiples of ``step`` and each cycle
     contributes a factor ``weight``.  Lengths not listed are forbidden.
     Returns dp where dp[u] counts weighted permutations of a u-element set.
+
+    The DP runs on the scaled EGF coefficients A[u] = dp[u] * n!/u!, which
+    are integers because n!/u! = (u+1)...n is.
+
+    * Free pass: all step-1 lengths at once.  Their EGF is
+      exp(sum_L w_L x^L/L); differentiating gives m a_m = sum_L w_L a_{m-L}
+      on its coefficients a_m = dp[m]/m!, which reads
+      m A[m] = sum_L w_L A[m-L].  The division by m is exact because A[m]
+      is an integer.
+    * Bunched pass: for each length with step s > 1, A[u+jL] gains
+      A[u] w^j / (L^j j!) for j = s, 2s, ... while u + jL <= n.  Each term
+      t_j is an integer: (u+1)...(u+jL) divides n!/u! and is a multiple of
+      (jL)!, which L^j j! divides (the quotient counts the ways to split jL
+      elements into j L-cycles).  So t_{j+s} = t_j w^s / (L^s (j+1)...(j+s))
+      is an exact division by a small integer.  Sources u are visited from
+      the top down, so A is updated in place.
+
+    Finally dp[u] = A[u] / (n!/u!), exact by the definition of A.
     """
-    dp = [0] * (n + 1)
-    dp[0] = 1
+    free = []
+    bunched = []
     for length, step, weight in length_specs:
-        new = dp[:]
-        for used in range(n + 1):
-            if not dp[used]:
+        if length <= n:
+            (free if step == 1 else bunched).append((length, step, weight))
+    free.sort()
+    scaled = [0] * (n + 1)
+    scaled[0] = factorial(n)
+    for m in range(1, n + 1):
+        total = 0
+        for length, _, weight in free:
+            if length > m:
+                break
+            total += weight * scaled[m - length]
+        scaled[m] = total // m
+    for length, step, weight in bunched:
+        span = step * length
+        length_pow = length**step
+        weight_pow = weight**step
+        divisors = [
+            length_pow * prod(range(j + 1, j + step + 1))
+            for j in range(0, n // length - step + 1, step)
+        ]
+        for u in range(n - span, -1, -1):
+            term = scaled[u]
+            if not term:
                 continue
-            j = step
-            while used + j * length <= n:
-                new[used + j * length] += (
-                    dp[used]
-                    * comb(used + j * length, j * length)
-                    * _cycle_arrangements(j, length)
-                    * weight**j
-                )
-                j += step
-        dp = new
+            for v, divisor in zip(range(u + span, n + 1, span), divisors):
+                term = term * weight_pow // divisor
+                scaled[v] += term
+    dp = [0] * (n + 1)
+    scale = 1
+    for u in range(n, -1, -1):
+        dp[u] = scaled[u] // scale
+        scale *= u
     return dp
 
 

@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from permroot.counting import (
+    _type_dp,
     count_AP,
     count_cyc,
     count_cyc_qr,
@@ -22,7 +24,11 @@ from permroot.counting import (
 from permroot.errors import DomainError
 from permroot.families import FamilySpec, enumerate_family
 from permroot.permutation import CycleType, parse_cycle_type
-from permroot.roots import brute_force_root_table, type_has_root
+from permroot.roots import brute_force_root_table, prime_power_decomposition, type_has_root
+
+# sha256 over dp_output_lines(), recorded from the earlier cycle-type DP that
+# built each term from math.comb and math.factorial
+DP_OUTPUTS_DIGEST = "1c27b48b2c4d6f55b0dcc75f347580023b645b62c73f976b40241e40f7c618ec"
 
 
 class TestSmallHelpers:
@@ -117,6 +123,17 @@ class TestEnriched:
         with pytest.raises(DomainError):
             count_enriched_cyc(3, 4)
 
+    def test_matches_sum_over_types(self):
+        # every cycle length a multiple of r, each cycle colored one of r-1 ways
+        for r in range(2, 7):
+            for n in range(0, 21, r):
+                expected = sum(
+                    count_of_type(CycleType.of_lengths(lengths)) * (r - 1) ** len(lengths)
+                    for lengths in _partitions(n, n)
+                    if all(length % r == 0 for length in lengths)
+                )
+                assert count_enriched_cyc(r, n) == expected
+
 
 class TestFirstCycleFamilies:
     def test_matches_enumeration(self):
@@ -181,6 +198,17 @@ class TestUniformTypeFamilies:
         for n in (1, 2, 3, 5, 6, 7):
             assert count_cyc_qr(2, 2, n) == 0
 
+    def test_matches_sum_over_types(self):
+        for q in range(2, 6):
+            for r in range(2, 6):
+                for n in range(0, 21):
+                    expected = sum(
+                        count_of_type(rho)
+                        for rho in map(CycleType.of_lengths, _partitions(n, n))
+                        if all(ln % q == 0 and ct % r == 0 for ln, ct in rho.pairs)
+                    )
+                    assert count_cyc_qr(q, r, n) == expected
+
 
 class TestSingularTypeFamilies:
     def test_empty_type_is_regular_count(self):
@@ -244,12 +272,64 @@ class TestRootCounts:
         seq = root_count_sequence(6, 10)
         assert Fraction(seq[10], factorial(10)) == Fraction(3, 32)
 
+    def test_monotone_with_plateaus_for_prime_powers(self):
+        # Bona-McLennan-White and Chernoff: for r = q^l, p_r(n+1) <= p_r(n),
+        # with equality whenever q does not divide n+1.  In integers:
+        # p_r(n+1) <= p_r(n) iff |S_{n+1}^r| <= (n+1) |S_n^r|.
+        for r in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
+            q, _ = prime_power_decomposition(r)
+            seq = root_count_sequence(r, 301)
+            for n in range(301):
+                scaled = (n + 1) * seq[n]
+                assert seq[n + 1] <= scaled, (r, n)
+                if (n + 1) % q:
+                    assert seq[n + 1] == scaled, (r, n)
+
     def test_rejects_bad_parameters(self):
         for call in (count_roots, root_count_sequence):
             with pytest.raises(DomainError):
                 call(1, 5)
             with pytest.raises(DomainError):
                 call(2, -1)
+
+
+class TestTypeDP:
+    def test_weighted_steps_match_sum_over_types(self):
+        # free and bunched lengths, both with weights other than 1
+        specs = [(1, 1, 2), (2, 2, 3), (3, 1, 5), (4, 3, 2), (5, 2, 1)]
+        rules = {length: (step, weight) for length, step, weight in specs}
+        dp = _type_dp(16, specs)
+        for n in range(17):
+            expected = 0
+            for rho in map(CycleType.of_lengths, _partitions(n, n)):
+                if all(ln in rules and ct % rules[ln][0] == 0 for ln, ct in rho.pairs):
+                    weight = 1
+                    for ln, ct in rho.pairs:
+                        weight *= rules[ln][1] ** ct
+                    expected += weight * count_of_type(rho)
+            assert dp[n] == expected, n
+
+
+def dp_output_lines():
+    """One line per output of every caller of the cycle-type DP."""
+    for r in range(2, 13):
+        for n, value in enumerate(root_count_sequence(r, 200)):
+            yield f"roots {r} {n} {value}"
+    for r in range(2, 7):
+        for m in range(41):
+            yield f"enriched {r} {r * m} {count_enriched_cyc(r, r * m)}"
+    for q in (2, 3, 4):
+        for r in (2, 3, 4):
+            for n in range(121):
+                yield f"qr {q} {r} {n} {count_cyc_qr(q, r, n)}"
+
+
+def test_dp_outputs_unchanged():
+    h = hashlib.sha256()
+    for line in dp_output_lines():
+        h.update(line.encode())
+        h.update(b"\n")
+    assert h.hexdigest() == DP_OUTPUTS_DIGEST
 
 
 class TestRegularProportion:
