@@ -154,7 +154,7 @@ def extend_regular(sigma: Permutation, j: int, r: int) -> Permutation:
         raise DomainError(f"{sigma} is not {r}-regular")
     labels = [e for e in range(1, n + 2) if e != j]
     relabeled = sigma.relabel({i + 1: lab for i, lab in enumerate(labels)})
-    return insert_element(j, relabeled, r)
+    return _on_stack(relabeled.cycles, _chain, r, j)
 
 
 # -- first-cycle growth -------------------------------------------------------

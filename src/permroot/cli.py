@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -39,32 +38,6 @@ MAP_NAMES = (
     "Phi", "Phi-inv", "psi",
 )
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated run configuration shared by the subcommands."""
-
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND
-    parallelism: int = 1
-    output: str = "text"
-    offline: bool = False
-
-    def __post_init__(self):
-        if self.enumeration_bound < 1:
-            raise DomainError("enumeration bound must be positive")
-        if self.parallelism < 1:
-            raise DomainError("parallelism must be at least 1")
-        if self.output not in ("text", "json"):
-            raise DomainError(f"unknown output format {self.output!r}")
-
-    @classmethod
-    def from_args(cls, args) -> "CliConfig":
-        return cls(
-            enumeration_bound=getattr(args, "bound", DEFAULT_ENUMERATION_BOUND),
-            parallelism=getattr(args, "jobs", 1),
-            output=getattr(args, "format", "text"),
-            offline=getattr(args, "offline", False),
-        )
 
 # JSON schemas for --format json output, one per subcommand.
 SCHEMAS = {
@@ -337,6 +310,8 @@ def _cmd_root(args) -> int:
 
 
 def _family_spec(args) -> tuple[FamilySpec, dict]:
+    if args.bound < 1:
+        raise DomainError("enumeration bound must be positive")
     family = args.family
     params: dict = {"n": args.n}
     if family in ("reg", "cyc", "cyc-star", "nreg", "q", "roots"):
@@ -474,6 +449,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise DomainError("parallelism must be at least 1")
     if args.list:
         for sid in suite_ids():
             print(sid)
@@ -482,9 +459,8 @@ def _cmd_verify(args) -> int:
         suites = list(suite_ids())
     else:
         suites = args.suite
-    bounds = None
-    if args.r is not None and args.n is not None:
-        bounds = {"r": args.r, "n": args.n}
+    # phi-bijection refuses r without n and n without r
+    bounds = {k: v for k, v in (("r", args.r), ("n", args.n)) if v is not None}
     reports = run_suites(suites, bounds=bounds, jobs=args.jobs)
     passed = all(r.passed for r in reports)
     if args.out:
@@ -571,7 +547,6 @@ def main(argv=None) -> int:
         "oeis": _cmd_oeis,
     }[args.command]
     try:
-        CliConfig.from_args(args)
         return handler(args)
     except PermrootError as exc:
         print(f"error: {exc}", file=sys.stderr)

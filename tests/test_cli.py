@@ -183,6 +183,14 @@ class TestEnumerate:
         )
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    def test_bound_below_one_exits_2(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "--family", "reg", "--r", "2", "--n", "3", "--bound", "0"
+        )
+        assert code == 2 and out == ""
+        assert err.strip() == "error: enumeration bound must be positive"
+
 
 class TestVerify:
     def test_tables_suite_passes(self, capsys):
@@ -230,6 +238,27 @@ class TestVerify:
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 2 and "unknown suite" in err
+
+    def test_jobs_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "tables", "--jobs", "0")
+        assert code == 2 and out == ""
+        assert err.strip() == "error: parallelism must be at least 1"
+
+    @pytest.mark.parametrize("r, n", [("0", "2"), ("3", "0")])
+    def test_bad_phi_override_exits_2(self, capsys, r, n):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "phi-bijection", "--r", r, "--n", n
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags", [("--r", "3"), ("--n", "2"), ("--suite", "phi-bijection", "--r", "3")]
+    )
+    def test_r_and_n_go_together(self, capsys, flags):
+        code, out, err = run_cli(capsys, "verify", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 class TestOeis:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -60,6 +61,57 @@ REQUIRED_PROPERTY_IDS = {
 }
 
 
+# A reduced grid for every suite: it sets flat override keys of every suite,
+# keys that several properties read (n_max, r_values, merge_grids) and the
+# phi-bijection pairs.
+REDUCED_BOUNDS = {
+    "pairs": [[2, 2], [2, 4], [3, 3], [3, 6], [4, 4]],
+    "nr_pairs": [[2, 4], [3, 3]],
+    "per_r": [[2, 5], [3, 5]],
+    "r_values": [2, 3],
+    "n_max": 5,
+    "q_values": [3],
+    "draws": 40,
+    "seed": 7,
+    "roundtrip_n_max": 4,
+    "split_n_max": 5,
+    "partitions_n_max": 5,
+    "psi_n_max": 4,
+    "ap_n_max": 6,
+    "merge_grids": [[2, 2, 1], [2, 2, 4]],
+    "witness_n_max": 4,
+    "witness_r_values": [2, 3],
+    "inclusion_n_max": 5,
+    "enum_n_max": 5,
+    "formula_n_max": 20,
+    "enriched_n_max": 6,
+    "q_family_n_max": 5,
+    "ap_formula_n_max": 15,
+    "merged_n_max": 5,
+    "merged_grids": [[2, 2], [3, 2]],
+    "singular_n_max": 5,
+    "ratio_n_max": 5,
+    "proportion_n_max": 15,
+    "nested_m_max": 2,
+    "double_m_max": 6,
+    "roots_grids": [[2, 2, 1], [3, 1, 1]],
+    "padding_n_max": 5,
+    "plateau_r_values": [2, 3, 4],
+    "square_upto": 8,
+    "double_factorial_upto": 6,
+}
+# sha256 of the normalized report bytes of every suite under REDUCED_BOUNDS,
+# recorded from the per-suite implementation that preceded the registry.
+REDUCED_REPORTS_SHA256 = "8063b991acfba6172034f469c2f8939f3f4b1bf7082a98f4b03d159d5d1cb329"
+
+
+@pytest.fixture(scope="module")
+def reduced_runs():
+    return {
+        jobs: run_suites(suite_ids(), bounds=REDUCED_BOUNDS, jobs=jobs) for jobs in (1, 2)
+    }
+
+
 class TestRegistry:
     def test_covers_required_properties(self):
         registered = {pid for pids in SUITE_PROPERTIES.values() for pid in pids}
@@ -74,10 +126,28 @@ class TestRegistry:
         with pytest.raises(DomainError):
             run_suites(["tables", "no-such-suite"])
 
-    def test_emitted_property_ids_match_declaration(self):
-        for suite in ("tables", "oeis", "monotonicity"):
-            emitted = {r.property_id for r in run_suite(suite)}
-            assert emitted == set(SUITE_PROPERTIES[suite])
+    def test_emitted_property_ids_match_declaration(self, reduced_runs):
+        declared = [pid for suite in suite_ids() for pid in SUITE_PROPERTIES[suite]]
+        phi_id = SUITE_PROPERTIES["phi-bijection"][0]
+        for reports in reduced_runs.values():
+            emitted = [r.property_id for r in reports]
+            assert list(dict.fromkeys(emitted)) == declared
+            assert emitted.count(phi_id) == len(REDUCED_BOUNDS["pairs"])
+            assert len(emitted) == len(declared) - 1 + len(REDUCED_BOUNDS["pairs"])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reduced_grid_report_bytes_unchanged(self, reduced_runs, jobs):
+        reports = reduced_runs[jobs]
+        assert all(r.passed for r in reports)
+        normalized = normalize_report_bytes(reports_to_json(reports))
+        assert hashlib.sha256(normalized).hexdigest() == REDUCED_REPORTS_SHA256
+
+    @pytest.mark.parametrize(
+        "bounds", [{"r": 0, "n": 2}, {"r": 3, "n": 0}, {"r": 3}, {"n": 2}]
+    )
+    def test_bad_phi_override_raises_domain_error(self, bounds):
+        with pytest.raises(DomainError):
+            run_suite("phi-bijection", bounds)
 
 
 class TestReports:
