@@ -63,7 +63,6 @@ from .permutation import (
 )
 from .report import VerificationReport, golden_compare, golden_diff
 from .roots import (
-    RootQuery,
     brute_force_root_table,
     find_root_bruteforce,
     has_root_general,

@@ -3,7 +3,8 @@
 Subcommands: map, root, count, prob, enumerate, verify, oeis.  Exit codes:
 0 success, 1 verification failure, 2 usage or input error.  Permutations are
 passed as quoted cycle-notation strings or, in batch mode, one per line on
-standard input.
+standard input; a bad line is reported with its line number and the other
+lines still get their answers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .families import (
 )
 from .permutation import parse, parse_cycle_type
 from .report import golden_diff, write_reports
-from .roots import BRUTE_FORCE_BOUND, RootQuery, find_root_bruteforce, has_root_general
+from .roots import BRUTE_FORCE_BOUND, find_root_bruteforce, has_root_general
 from .verify import run_suites, suite_ids
 
 EXIT_OK = 0
@@ -237,10 +238,21 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _read_inputs(args) -> list[str]:
+def _each_input(args, answer) -> int:
+    """Call ``answer(text)`` on the permutation argument or, without one, on
+    each line of stdin.  A bad stdin line prints ``error: line N: ...`` and
+    the other lines go on; the exit code is then EXIT_USAGE."""
     if args.perm is not None:
-        return [args.perm]
-    return [line.rstrip("\n") for line in sys.stdin]
+        answer(args.perm)
+        return EXIT_OK
+    status = EXIT_OK
+    for number, line in enumerate(sys.stdin, start=1):
+        try:
+            answer(line.rstrip("\n"))
+        except PermrootError as exc:
+            print(f"error: line {number}: {exc}", file=sys.stderr)
+            status = EXIT_USAGE
+    return status
 
 
 def _apply_map(name: str, text: str, args) -> str | dict:
@@ -249,8 +261,6 @@ def _apply_map(name: str, text: str, args) -> str | dict:
         x, rest = bij.extract_element(parse(text), r)
         return {"x": x, "rest": str(rest)}
     if name == "delta-inv":
-        if args.x is None:
-            raise PermrootError("delta-inv needs --x")
         return str(bij.insert_element(args.x, parse(text), r))
     if name == "phi":
         return str(bij.grow_first_cycle(parse(text), r))
@@ -265,48 +275,48 @@ def _apply_map(name: str, text: str, args) -> str | dict:
     if name == "Phi-inv":
         return str(bij.from_enriched_cycles(parse(text, r)))
     if name == "psi":
-        if args.j is None:
-            raise PermrootError("psi needs --j")
         return str(bij.extend_regular(parse(text), args.j, r))
     raise PermrootError(f"unknown map {name!r}")
 
 
 def _cmd_map(args) -> int:
-    for text in _read_inputs(args):
+    if args.name == "delta-inv" and args.x is None:
+        raise PermrootError("delta-inv needs --x")
+    if args.name == "psi" and args.j is None:
+        raise PermrootError("psi needs --j")
+
+    def answer(text):
         out = _apply_map(args.name, text, args)
         payload = {"map": args.name, "r": args.r, "input": text, "output": out}
         _emit(args, payload, out if isinstance(out, str) else f"{out['x']} | {out['rest']}")
-    return EXIT_OK
+
+    return _each_input(args, answer)
 
 
 def _cmd_root(args) -> int:
     if args.r is None and args.q is None:
         raise PermrootError("root needs --r (or --q with --l)")
     r = args.r if args.r is not None else args.q**args.l
-    for text in _read_inputs(args):
+
+    def answer(text):
         sigma = parse(text)
-        query = RootQuery.make(sigma, r)
-        exists = has_root_general(sigma, query.r)
+        exists = has_root_general(sigma, r)
         witness = None
         if sigma.size <= BRUTE_FORCE_BOUND:
-            found = find_root_bruteforce(sigma, query.r)
+            found = find_root_bruteforce(sigma, r)
             if (found is not None) != exists:
                 raise PermrootError(
                     f"criterion and brute force disagree on {sigma} (r={r})"
                 )
             witness = str(found) if found is not None else None
-        payload = {
-            "r": query.r,
-            "n": sigma.size,
-            "exists": exists,
-            "witness": witness,
-        }
+        payload = {"r": r, "n": sigma.size, "exists": exists, "witness": witness}
         if exists:
             text_out = "yes" + (f" {witness}" if witness is not None else "")
         else:
             text_out = "no"
         _emit(args, payload, text_out)
-    return EXIT_OK
+
+    return _each_input(args, answer)
 
 
 def _family_spec(args) -> tuple[FamilySpec, dict]:

@@ -166,7 +166,6 @@ def cross_check(
     seq: SequenceRef,
     generator: Callable[[int], int],
     upto: int,
-    property_id: str | None = None,
 ) -> VerificationReport:
     """Compare ``generator(index)`` with every sequence term of index
     <= upto; the report fails at the first mismatch."""
@@ -174,7 +173,6 @@ def cross_check(
         raise DomainError(
             f"{seq.oeis_id} has terms up to index {seq.max_index}, requested {upto}"
         )
-    pid = property_id or f"oeis/{seq.oeis_id}"
 
     def check():
         checked = 0
@@ -187,4 +185,6 @@ def cross_check(
                 return checked, f"index {index}: sequence has {value}, computed {computed}"
         return checked, None
 
-    return run_property(pid, {"oeis_id": seq.oeis_id, "upto": upto}, check)
+    return run_property(
+        f"oeis/{seq.oeis_id}", {"oeis_id": seq.oeis_id, "upto": upto}, check
+    )

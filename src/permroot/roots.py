@@ -16,7 +16,6 @@ are validated against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -52,21 +51,6 @@ def prime_power_decomposition(r: int) -> tuple[int, int] | None:
             return (q, l) if m == 1 else None
         q += 1
     return (r, 1)
-
-
-@dataclass(frozen=True)
-class RootQuery:
-    """A root-existence question, with the prime-power factorization of r
-    attached when there is one."""
-
-    target: Permutation
-    r: int
-    factorization: tuple[int, int] | None
-
-    @classmethod
-    def make(cls, target: Permutation, r: int) -> "RootQuery":
-        check_modulus(r, "root degree")
-        return cls(target, r, prime_power_decomposition(r))
 
 
 def has_root_prime_power(sigma: Permutation, q: int, l: int) -> bool:

@@ -94,43 +94,6 @@ def _q_buckets(r: int, n: int) -> dict[int, list[Permutation]]:
     return buckets
 
 
-def _ap_buckets(n: int):
-    """Buckets for the r = 2 refinement: all-odd permutations keyed by the
-    length of 1's cycle, and first-cycle-even-rest-odd ones likewise."""
-    all_odd: dict[int, list[Permutation]] = {}
-    first_even: dict[int, list[Permutation]] = {}
-    for p in enumerate_family(FamilySpec.everything(n), bound=max(n, 10)):
-        lengths = p.cycle_lengths()
-        if any(ln % 2 == 0 for ln in lengths[1:]):
-            continue
-        if lengths[0] % 2 == 1:
-            all_odd.setdefault(lengths[0], []).append(p)
-        else:
-            first_even.setdefault(lengths[0], []).append(p)
-    return all_odd, first_even
-
-
-def _types_with_total(total: int, q: int):
-    """All cycle types with every length a multiple of q summing to total."""
-
-    def rec(remaining: int, max_part: int, acc):
-        if remaining == 0:
-            yield CycleType.of_lengths(acc)
-            return
-        part = min(remaining, max_part)
-        part -= part % q
-        while part >= q:
-            if part <= remaining:
-                acc.append(part)
-                yield from rec(remaining - part, part, acc)
-                acc.pop()
-            part -= q
-    if total == 0:
-        yield CycleType()
-    elif total % q == 0:
-        yield from rec(total, total, [])
-
-
 def _partitions(total: int):
     def rec(remaining, max_part, acc):
         if remaining == 0:
@@ -141,6 +104,13 @@ def _partitions(total: int):
             yield from rec(remaining - part, part, acc)
             acc.pop()
     yield from rec(total, total, [])
+
+
+def _types_with_total(total: int, q: int):
+    """All cycle types with every length a multiple of q summing to total (a
+    multiple of q): the partitions of total / q, each part scaled by q."""
+    for parts in _partitions(total // q):
+        yield CycleType.of_lengths(q * part for part in parts)
 
 
 def _representative(lengths) -> Permutation:
@@ -449,32 +419,8 @@ def _regular_extension_bijectivity(bounds):
 
 @prop("bijections", "bijections/odd-even-refinement", n_max=("ap_n_max", 9))
 def _odd_even_refinement(bounds):
-    n_max = bounds["n_max"]
-    checked = 0
-    for n in range(2, n_max + 1):
-        all_odd, first_even = _ap_buckets(n)
-        if n % 2 == 0:
-            # odd first cycle of length 2k-1 grows to even length 2k
-            mapping = [(all_odd, first_even)]
-        else:
-            # even first cycle of length 2k grows to odd length 2k+1
-            mapping = [(first_even, all_odd)]
-        for source, target in mapping:
-            for j, members in sorted(source.items()):
-                image = set()
-                for sigma in members:
-                    checked += 1
-                    pi = bij.grow_first_cycle(sigma, 2)
-                    if bij.shrink_first_cycle(pi, 2) != sigma:
-                        return checked, f"refinement round trip broke on {sigma}"
-                    image.add(pi)
-                expected = len(target.get(j + 1, ()))
-                if len(image) != len(members) or len(members) != expected:
-                    return checked, (
-                        f"n={n} first-cycle {j}: {len(members)} source vs "
-                        f"{expected} target"
-                    )
-    return checked, None
+    # A_{n,2k-1} = Q_{2,2k-1}(n) and P_{n,2k} = Q_{2,2k}(n): the r = 2 growth
+    return _grow_shrink_roundtrip({"per_r": ((2, bounds["n_max"]),)})
 
 
 @prop(
@@ -593,12 +539,12 @@ def _criterion_vs_bruteforce(bounds):
     r_values = tuple(bounds["r_values"])
     checked = 0
     for n in range(n_max + 1):
-        elems = tuple(range(1, n + 1))
-        for r in r_values:
-            table = brute_force_root_table(n, r)
-            for img in itertools.permutations(elems):
-                p = Permutation.from_one_line(elems, img)
-                verdict = type_has_root(tuple(sorted(p.cycle_lengths())), r)
+        tables = [(r, brute_force_root_table(n, r)) for r in r_values]
+        for p in enumerate_family(FamilySpec.everything(n)):
+            lengths = tuple(sorted(p.cycle_lengths()))
+            img = p.one_line()
+            for r, table in tables:
+                verdict = type_has_root(lengths, r)
                 checked += 1
                 if verdict != (img in table):
                     return checked, (
@@ -645,11 +591,10 @@ def _witness_soundness(bounds):
     # the one-off search agrees with the table's least witness
     for r in (2, 3):
         table = brute_force_root_table(4, r)
-        for img in itertools.permutations(range(1, 5)):
-            sigma = Permutation.from_one_line(range(1, 5), img)
+        for sigma in enumerate_family(FamilySpec.everything(4)):
             found = find_root_bruteforce(sigma, r)
             checked += 1
-            expected = table.get(img)
+            expected = table.get(sigma.one_line())
             if (found.one_line() if found else None) != expected:
                 return checked, f"least witness mismatch on {sigma} (r={r})"
     return checked, None
@@ -757,15 +702,16 @@ def _odd_even_family_counts(bounds):
     n_max = bounds["n_max"]
     checked = 0
     for n in range(2, n_max + 1):
-        all_odd, first_even = _ap_buckets(n)
+        # odd first-cycle lengths key A_{n,2k-1}, even ones P_{n,2k}
+        buckets = _q_buckets(2, n)
         for k in range(1, n // 2 + 2):
             if 2 * k - 1 <= n:
                 checked += 1
-                if cnt.count_AP(n, k, "odd") != len(all_odd.get(2 * k - 1, ())):
+                if cnt.count_AP(n, k, "odd") != len(buckets.get(2 * k - 1, ())):
                     return checked, f"|A_({n},{2 * k - 1})| mismatch"
             if 2 * k <= n:
                 checked += 1
-                if cnt.count_AP(n, k, "even") != len(first_even.get(2 * k, ())):
+                if cnt.count_AP(n, k, "even") != len(buckets.get(2 * k, ())):
                     return checked, f"|P_({n},{2 * k})| mismatch"
     # formula-level equalities between neighbours
     for big_n in range(2, bounds["formula_n_max"] + 1):

@@ -61,6 +61,25 @@ class TestMap:
         assert code == 0
         assert out.splitlines() == ["(1 2)_1", "(1 3 2 4)_1"]
 
+    def test_bad_stdin_line_reports_its_number(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("(1) (2)\n(1 2\n(1 3 2) (4)\n"))
+        code, out, err = run_cli(capsys, "map", "lambda", "--r", "2")
+        assert code == 2
+        assert out.splitlines() == ["(1 2)_1", "(1 3 2 4)_1"]
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: line 2: ")
+
+    @pytest.mark.parametrize(
+        "name, message", [("delta-inv", "delta-inv needs --x"), ("psi", "psi needs --j")]
+    )
+    def test_argument_error_before_stdin(self, capsys, monkeypatch, name, message):
+        stdin = io.StringIO("(1 2)\n(1) (2)\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "map", name, "--r", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+        assert stdin.tell() == 0
+
     def test_json_schema(self, capsys):
         code, payload, _ = run_json(capsys, "map", "Phi", "--r", "3", "(1 2) (3 4) (5 6)")
         assert code == 0
@@ -94,6 +113,27 @@ class TestRoot:
     def test_root_absent(self, capsys):
         code, out, _ = run_cli(capsys, "root", "--r", "2", "(1 2)")
         assert code == 0 and out.strip() == "no"
+
+    def test_bad_stdin_line_reports_its_number(self, capsys, monkeypatch):
+        lines = ["(1 2)(3 4)", "(1 2", "(1 3)(2 4)"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{t}\n" for t in lines)))
+        code, out, err = run_cli(capsys, "root", "--r", "2")
+        assert code == 2
+        singly = [run_cli(capsys, "root", "--r", "2", t)[1] for t in lines[::2]]
+        assert out == "".join(singly)
+        assert out.splitlines() == ["yes (1 3 2 4)", "yes (1 2 3 4)"]
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: line 2: ")
+
+    def test_bad_stdin_line_json(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("(1 2)\n)\n(1)\n"))
+        code, out, err = run_cli(capsys, "root", "--r", "2", "--format", "json")
+        assert code == 2
+        payloads = [json.loads(line) for line in out.splitlines()]
+        for payload in payloads:
+            jsonschema.validate(payload, SCHEMAS["root"])
+        assert [p["exists"] for p in payloads] == [False, True]
+        assert err.startswith("error: line 2: ")
 
     def test_prime_power_flags(self, capsys):
         code_a, out_a, _ = run_cli(capsys, "root", "--q", "2", "--l", "2", "(1 2)(3 4)")

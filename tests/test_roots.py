@@ -6,7 +6,6 @@ from permroot.errors import DomainError
 from permroot.families import FamilySpec, enumerate_family
 from permroot.permutation import Permutation, parse_cycle_type
 from permroot.roots import (
-    RootQuery,
     brute_force_root_table,
     bunch_sizes,
     find_root_bruteforce,
@@ -34,6 +33,10 @@ class TestPrimePowerCriterion:
     def test_q_must_be_prime(self, P):
         with pytest.raises(DomainError):
             has_root_prime_power(P("(1 2)"), 4, 1)
+
+    def test_prime_power_decomposition(self):
+        assert prime_power_decomposition(8) == (2, 3)
+        assert prime_power_decomposition(6) is None
 
     def test_fourth_root_needs_multiplicity_four(self, P):
         # two 2-cycles have a square root but no fourth root
@@ -71,6 +74,15 @@ class TestGeneralCriterion:
         for img in itertools.permutations(range(1, n + 1)):
             p = Permutation.from_one_line(range(1, n + 1), img)
             assert has_root_general(p, r) == (img in table)
+
+    def test_bad_degree_messages(self, P):
+        sigma = P("(1 2)")
+        message = r"^root degree must be an integer >= 2, got 1$"
+        for call in (has_root_general, find_root_bruteforce):
+            with pytest.raises(DomainError, match=message):
+                call(sigma, 1)
+        with pytest.raises(DomainError, match=r"^r must be an integer >= 2, got 'x'$"):
+            is_qr_divisible(parse_cycle_type("2^2"), 2, "x")
 
     def test_sixth_root_counts(self):
         assert len(brute_force_root_table(4, 6)) == 4
@@ -120,26 +132,6 @@ class TestRegularInclusion:
         for n in range(0, 7):
             for sigma in enumerate_family(FamilySpec.regular(q, n)):
                 assert has_root_prime_power(sigma, q, l)
-
-
-class TestRootQuery:
-    def test_factorization_attached(self, P):
-        query = RootQuery.make(P("(1 2)"), 8)
-        assert query.factorization == (2, 3)
-        assert RootQuery.make(P("(1 2)"), 6).factorization is None
-
-    def test_rejects_bad_degree(self, P):
-        with pytest.raises(DomainError):
-            RootQuery.make(P("(1 2)"), 1)
-
-    def test_bad_degree_messages(self, P):
-        sigma = P("(1 2)")
-        message = r"^root degree must be an integer >= 2, got 1$"
-        for call in (RootQuery.make, has_root_general, find_root_bruteforce):
-            with pytest.raises(DomainError, match=message):
-                call(sigma, 1)
-        with pytest.raises(DomainError, match=r"^r must be an integer >= 2, got 'x'$"):
-            is_qr_divisible(parse_cycle_type("2^2"), 2, "x")
 
 
 def _partitions(total):

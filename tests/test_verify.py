@@ -4,6 +4,7 @@ import json
 import pytest
 
 from permroot.errors import DomainError
+from permroot.permutation import CycleType
 from permroot.report import (
     VerificationReport,
     golden_compare,
@@ -12,7 +13,14 @@ from permroot.report import (
     reports_to_json,
     write_reports,
 )
-from permroot.verify import SUITE_PROPERTIES, SUITES, run_suite, run_suites, suite_ids
+from permroot.verify import (
+    SUITE_PROPERTIES,
+    SUITES,
+    _types_with_total,
+    run_suite,
+    run_suites,
+    suite_ids,
+)
 
 # Every stated module invariant must be covered by a registered property.
 REQUIRED_PROPERTY_IDS = {
@@ -148,6 +156,25 @@ class TestRegistry:
     def test_bad_phi_override_raises_domain_error(self, bounds):
         with pytest.raises(DomainError):
             run_suite("phi-bijection", bounds)
+
+
+# p(m), the number of partitions of m, for m = 0..12
+PARTITION_NUMBERS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
+
+
+class TestTypesWithTotal:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_types_are_the_scaled_partitions(self, q):
+        for total in range(0, 25, q):
+            types = list(_types_with_total(total, q))
+            assert len(set(types)) == len(types) == PARTITION_NUMBERS[total // q]
+            for rho in types:
+                assert all(ln % q == 0 for ln in rho.expand())
+                assert rho.total == sum(rho.expand()) == total
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_empty_total_gives_only_the_empty_type(self, q):
+        assert list(_types_with_total(0, q)) == [CycleType()]
 
 
 class TestReports:
