@@ -48,8 +48,6 @@ from .families import (
     enumerate_enriched_nearly_regular,
     enumerate_family,
     enumerate_regular_on,
-    is_cycle_permutation,
-    is_enriched_cycle_permutation,
     is_nearly_regular,
     is_regular,
 )

@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Callable, Iterable
 
 from . import bijections as bij
 from . import counting as cnt
 from . import oeis
-from .errors import DomainError, PermrootError
+from .errors import DomainError, PermrootError, check_modulus
 from .families import (
     DEFAULT_ENUMERATION_BOUND,
     FamilySpec,
@@ -34,10 +36,24 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 
-MAP_NAMES = (
-    "delta", "delta-inv", "phi", "alpha", "lambda", "lambda-inv",
-    "Phi", "Phi-inv", "psi",
-)
+
+def _delta(text: str, args) -> dict:
+    x, rest = bij.extract_element(parse(text), args.r)
+    return {"x": x, "rest": str(rest)}
+
+
+# map name -> its answer on one input; lambda-inv and Phi-inv read colored input
+MAPS = {
+    "delta": _delta,
+    "delta-inv": lambda text, args: str(bij.insert_element(args.x, parse(text), args.r)),
+    "phi": lambda text, args: str(bij.grow_first_cycle(parse(text), args.r)),
+    "alpha": lambda text, args: str(bij.shrink_first_cycle(parse(text), args.r)),
+    "lambda": lambda text, args: str(bij.to_nearly_regular(parse(text), args.r)),
+    "lambda-inv": lambda text, args: str(bij.from_nearly_regular(parse(text, args.r))),
+    "Phi": lambda text, args: str(bij.to_enriched_cycles(parse(text), args.r)),
+    "Phi-inv": lambda text, args: str(bij.from_enriched_cycles(parse(text, args.r))),
+    "psi": lambda text, args: str(bij.extend_regular(parse(text), args.j, args.r)),
+}
 
 
 # JSON schemas for --format json output, one per subcommand.
@@ -46,7 +62,7 @@ SCHEMAS = {
         "type": "object",
         "required": ["map", "r", "input", "output"],
         "properties": {
-            "map": {"type": "string", "enum": list(MAP_NAMES)},
+            "map": {"type": "string", "enum": list(MAPS)},
             "r": {"type": "integer", "minimum": 2},
             "input": {"type": "string"},
             "output": {
@@ -169,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser("map", parents=[common], help="apply one of the bijections")
-    p_map.add_argument("name", choices=MAP_NAMES)
+    p_map.add_argument("name", choices=MAPS)
     p_map.add_argument("perm", nargs="?", help="cycle notation; omit to read lines from stdin")
     p_map.add_argument("--r", type=int, required=True)
     p_map.add_argument("--x", type=int, help="distinguished element (delta-inv)")
@@ -186,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--method", choices=("formula", "recurrence", "enumerate", "all"), default=None
     )
-    p_count.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
 
     p_prob = sub.add_parser("prob", parents=[common], help="probability of an r-th root")
     p_prob.add_argument("--r", type=int, required=True)
@@ -194,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="stream a family")
     _family_arguments(p_enum)
-    p_enum.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")
     p_verify.add_argument("--suite", action="append", help="suite id (repeatable)")
@@ -217,18 +231,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _family_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=("reg", "cyc", "cyc-star", "nreg", "q", "a", "p", "cyc-qr",
-                 "s-rho-q", "roots", "all"),
-    )
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--q", type=int)
-    p.add_argument("--l", type=int)
+    p.add_argument("--l", type=int, default=1)
     p.add_argument("--k", type=int)
     p.add_argument("--rho", help='cycle type such as "2^2,4^2"; empty string for the empty type')
+    p.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -240,13 +250,16 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _each_input(args, answer) -> int:
     """Call ``answer(text)`` on the permutation argument or, without one, on
-    each line of stdin.  A bad stdin line prints ``error: line N: ...`` and
-    the other lines go on; the exit code is then EXIT_USAGE."""
+    each line of stdin that is not blank.  A bad stdin line prints
+    ``error: line N: ...`` and the other lines go on; the exit code is then
+    EXIT_USAGE."""
     if args.perm is not None:
         answer(args.perm)
         return EXIT_OK
     status = EXIT_OK
     for number, line in enumerate(sys.stdin, start=1):
+        if not line.strip():
+            continue
         try:
             answer(line.rstrip("\n"))
         except PermrootError as exc:
@@ -255,48 +268,31 @@ def _each_input(args, answer) -> int:
     return status
 
 
-def _apply_map(name: str, text: str, args) -> str | dict:
-    r = args.r
-    if name == "delta":
-        x, rest = bij.extract_element(parse(text), r)
-        return {"x": x, "rest": str(rest)}
-    if name == "delta-inv":
-        return str(bij.insert_element(args.x, parse(text), r))
-    if name == "phi":
-        return str(bij.grow_first_cycle(parse(text), r))
-    if name == "alpha":
-        return str(bij.shrink_first_cycle(parse(text), r))
-    if name == "lambda":
-        return str(bij.to_nearly_regular(parse(text), r))
-    if name == "lambda-inv":
-        return str(bij.from_nearly_regular(parse(text, r)))
-    if name == "Phi":
-        return str(bij.to_enriched_cycles(parse(text), r))
-    if name == "Phi-inv":
-        return str(bij.from_enriched_cycles(parse(text, r)))
-    if name == "psi":
-        return str(bij.extend_regular(parse(text), args.j, r))
-    raise PermrootError(f"unknown map {name!r}")
-
-
 def _cmd_map(args) -> int:
     if args.name == "delta-inv" and args.x is None:
         raise PermrootError("delta-inv needs --x")
     if args.name == "psi" and args.j is None:
         raise PermrootError("psi needs --j")
+    check_modulus(args.r, "r")
 
     def answer(text):
-        out = _apply_map(args.name, text, args)
+        out = MAPS[args.name](text, args)
         payload = {"map": args.name, "r": args.r, "input": text, "output": out}
         _emit(args, payload, out if isinstance(out, str) else f"{out['x']} | {out['rest']}")
 
     return _each_input(args, answer)
 
 
+def _degree(args) -> int | None:
+    """--r, or else --q to the power --l."""
+    return args.r if args.r is not None or args.q is None else args.q**args.l
+
+
 def _cmd_root(args) -> int:
-    if args.r is None and args.q is None:
+    r = _degree(args)
+    if r is None:
         raise PermrootError("root needs --r (or --q with --l)")
-    r = args.r if args.r is not None else args.q**args.l
+    check_modulus(r, "root degree")
 
     def answer(text):
         sigma = parse(text)
@@ -319,100 +315,85 @@ def _cmd_root(args) -> int:
     return _each_input(args, answer)
 
 
-def _family_spec(args) -> tuple[FamilySpec, dict]:
+# (param, how it is read from the arguments, the flag named when it is missing)
+_R = ("r", _degree, "--r (or --q with --l)")
+_R_ONLY = ("r", lambda args: args.r, "--r")
+_Q = ("q", lambda args: args.q, "--q")
+_K = ("k", lambda args: args.k, "--k")
+_RHO = ("rho", lambda args: args.rho, "--rho")
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One ``--family`` name: the flags read into params, the FamilySpec built
+    from them, its exact counts by method (called with params as keywords) and
+    the stream that ``enumerate`` prints, which is also its ``enumerate`` count."""
+
+    flags: tuple
+    spec: Callable[..., FamilySpec]
+    counts: dict[str, Callable[..., int]]
+    stream: Callable[..., Iterable] = lambda spec, bound: enumerate_family(spec, bound)
+
+
+# the callables look library names up per call, so the benchmark tracer's rebinding is seen
+FAMILIES = {
+    "reg": _Family((_R,), FamilySpec.regular, {
+        "formula": lambda **p: cnt.count_reg(**p),
+        "recurrence": lambda **p: cnt.count_reg(**p, method="recurrence"),
+    }),
+    "cyc": _Family((_R,), FamilySpec.cycle, {
+        "formula": lambda **p: cnt.count_cyc(**p),
+        "recurrence": lambda **p: cnt.count_cyc(**p, method="recurrence"),
+    }),
+    "cyc-star": _Family(
+        (_R,), FamilySpec.cycle, {"formula": lambda **p: cnt.count_enriched_cyc(**p)},
+        stream=lambda spec, bound: enumerate_enriched_cycles(spec.r, spec.n, bound),
+    ),
+    "nreg": _Family((_R,), FamilySpec.nearly_regular, {
+        "formula": lambda r, n: sum(cnt.count_q_family(r, k, n) for k in range(r, n + 1, r)),
+    }),
+    "q": _Family(
+        (_R, _K), FamilySpec.first_cycle, {"formula": lambda **p: cnt.count_q_family(**p)}
+    ),
+    "a": _Family(
+        (_K,), FamilySpec.odd_with_first, {"formula": lambda **p: cnt.count_AP(**p, parity="odd")}
+    ),
+    "p": _Family(
+        (_K,), FamilySpec.even_first, {"formula": lambda **p: cnt.count_AP(**p, parity="even")}
+    ),
+    "cyc-qr": _Family(
+        (_Q, _R_ONLY), FamilySpec.uniform_multiples, {"formula": lambda **p: cnt.count_cyc_qr(**p)}
+    ),
+    "s-rho-q": _Family(
+        (_Q, _RHO),
+        lambda rho, q, n: FamilySpec.singular_type(parse_cycle_type(rho), q, n),
+        {"formula": lambda rho, q, n: cnt.count_S_rho_q(parse_cycle_type(rho), q, n)},
+    ),
+    "roots": _Family((_R,), FamilySpec.with_root, {"formula": lambda **p: cnt.count_roots(**p)}),
+    "all": _Family((), FamilySpec.everything, {"formula": lambda n: factorial(n)}),
+}
+
+
+def _family_spec(args) -> tuple[_Family, FamilySpec, dict]:
     if args.bound < 1:
         raise DomainError("enumeration bound must be positive")
-    family = args.family
+    family = FAMILIES[args.family]
     params: dict = {"n": args.n}
-    if family in ("reg", "cyc", "cyc-star", "nreg", "q", "roots"):
-        r = args.r
-        if r is None and args.q is not None:
-            r = args.q ** (args.l if args.l is not None else 1)
-        if r is None:
-            raise PermrootError(f"family {family!r} needs --r (or --q with --l)")
-        params["r"] = r
-    if family in ("cyc-qr", "s-rho-q"):
-        if args.q is None:
-            raise PermrootError(f"family {family!r} needs --q")
-        params["q"] = args.q
-    if family == "cyc-qr":
-        if args.r is None:
-            raise PermrootError("family 'cyc-qr' needs --r")
-        params["r"] = args.r
-    if family in ("q", "a", "p"):
-        if args.k is None:
-            raise PermrootError(f"family {family!r} needs --k")
-        params["k"] = args.k
-    if family == "s-rho-q":
-        if args.rho is None:
-            raise PermrootError("family 's-rho-q' needs --rho")
-        params["rho"] = args.rho
-    spec = {
-        "reg": lambda: FamilySpec.regular(params["r"], args.n),
-        "cyc": lambda: FamilySpec.cycle(params["r"], args.n),
-        "cyc-star": lambda: FamilySpec.cycle(params["r"], args.n),
-        "nreg": lambda: FamilySpec.nearly_regular(params["r"], args.n),
-        "q": lambda: FamilySpec.first_cycle(params["r"], args.k, args.n),
-        "a": lambda: FamilySpec.odd_with_first(args.n, args.k),
-        "p": lambda: FamilySpec.even_first(args.n, args.k),
-        "cyc-qr": lambda: FamilySpec.uniform_multiples(args.q, args.r, args.n),
-        "s-rho-q": lambda: FamilySpec.singular_type(parse_cycle_type(args.rho), args.q, args.n),
-        "roots": lambda: FamilySpec.with_root(params["r"], args.n),
-        "all": lambda: FamilySpec.everything(args.n),
-    }[family]()
-    return spec, params
-
-
-def _count_methods(args, spec: FamilySpec, params: dict) -> dict[str, int]:
-    family, n = args.family, args.n
-    method = args.method
-    r = params.get("r")
-    out: dict[str, int] = {}
-
-    def want(name: str) -> bool:
-        return method in (None, "all", name)
-
-    if family in ("reg", "cyc"):
-        counter = cnt.count_reg if family == "reg" else cnt.count_cyc
-        if want("formula"):
-            out["formula"] = counter(r, n)
-        if want("recurrence"):
-            out["recurrence"] = counter(r, n, "recurrence")
-        if method in ("enumerate", "all"):
-            out["enumerate"] = counter(r, n, "enumerate", bound=args.bound)
-        return out
-
-    if family == "cyc-star":
-        out["formula"] = cnt.count_enriched_cyc(r, n)
-    elif family == "nreg":
-        out["formula"] = sum(cnt.count_q_family(r, k, n) for k in range(r, n + 1, r))
-    elif family == "q":
-        out["formula"] = cnt.count_q_family(r, args.k, n)
-    elif family == "a":
-        out["formula"] = cnt.count_AP(n, args.k, "odd")
-    elif family == "p":
-        out["formula"] = cnt.count_AP(n, args.k, "even")
-    elif family == "cyc-qr":
-        out["formula"] = cnt.count_cyc_qr(args.q, args.r, n)
-    elif family == "s-rho-q":
-        out["formula"] = cnt.count_S_rho_q(parse_cycle_type(args.rho), args.q, n)
-    elif family == "roots":
-        out["formula"] = cnt.count_roots(r, n)
-    elif family == "all":
-        out["formula"] = factorial(n)
-    if method in ("enumerate", "all"):
-        if family == "cyc-star":
-            out["enumerate"] = sum(
-                (r - 1) ** len(p.cycles) for p in enumerate_family(spec, args.bound)
-            )
-        else:
-            out["enumerate"] = sum(1 for _ in enumerate_family(spec, args.bound))
-    return out
+    for name, read, flag in family.flags:
+        params[name] = read(args)
+        if params[name] is None:
+            raise PermrootError(f"family {args.family!r} needs {flag}")
+    return family, family.spec(**params), params
 
 
 def _cmd_count(args) -> int:
-    spec, params = _family_spec(args)
-    methods = _count_methods(args, spec, params)
+    family, spec, params = _family_spec(args)
+    counts = dict(family.counts)
+    counts["enumerate"] = lambda **_: sum(1 for _ in family.stream(spec, args.bound))
+    if args.method not in (None, "all", *counts):
+        raise PermrootError(f"family {args.family!r} has no {args.method} count")
+    wanted = {None: family.counts, "all": counts}.get(args.method, [args.method])
+    methods = {name: counts[name](**params) for name in wanted}
     values = set(methods.values())
     if len(values) > 1:
         raise PermrootError(f"methods disagree: {methods}")
@@ -439,11 +420,8 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    spec, params = _family_spec(args)
-    if args.family == "cyc-star":
-        items = [str(e) for e in enumerate_enriched_cycles(params["r"], args.n, args.bound)]
-    else:
-        items = [str(p) for p in enumerate_family(spec, args.bound)]
+    family, spec, params = _family_spec(args)
+    items = [str(p) for p in family.stream(spec, args.bound)]
     if args.format == "json":
         payload = {
             "family": args.family,

@@ -1,5 +1,8 @@
 """Permutation families over [n] and their exhaustive enumeration.
 
+Each family is declared once, as one entry of ``_FAMILIES``: the parameters
+it needs and a membership test on its canonical cycle lengths, read by
+``FamilySpec`` validation, ``classify`` and ``enumerate_family``.
 Enumeration is deliberately brute force (filter all of S_n); it is the
 independent oracle that every counting formula and bijection is checked
 against.  Streams are yielded in lexicographic order of one-line notation.
@@ -11,31 +14,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import roots
 from .errors import DomainError, EnumerationBoundError, check_modulus
 from .permutation import CycleType, EnrichedPermutation, Permutation
 
 DEFAULT_ENUMERATION_BOUND = 10
 
-REGULAR = "reg"                # all cycle lengths not divisible by r
-CYCLE = "cyc"                  # all cycle lengths divisible by r
-NEARLY_REGULAR = "nreg"        # only the min-containing cycle is singular
-FIRST_CYCLE = "q"              # min-containing cycle has length k, rest regular
-ODD_WITH_FIRST = "a"           # all cycles odd, 1 in a cycle of length 2k-1
-EVEN_FIRST = "p"               # 1 in an even cycle of length 2k, rest odd
-UNIFORM_MULTIPLES = "cyc-qr"   # lengths multiples of q, each length count a multiple of r
-SINGULAR_TYPE = "s-rho-q"      # q-singular part has cycle type rho
-WITH_ROOT = "roots"            # permutations having an r-th root
-ALL = "all"
-
-_TAGS = {
-    REGULAR, CYCLE, NEARLY_REGULAR, FIRST_CYCLE, ODD_WITH_FIRST, EVEN_FIRST,
-    UNIFORM_MULTIPLES, SINGULAR_TYPE, WITH_ROOT, ALL,
-}
-
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named family of permutations of [n] with its parameters."""
+    """A named family of permutations of [n] with its parameters; the tag
+    picks the family's entry in ``_FAMILIES``."""
 
     tag: str
     n: int
@@ -45,22 +34,20 @@ class FamilySpec:
     rho: CycleType | None = None
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
+        if self.tag not in _FAMILIES:
             raise DomainError(f"unknown family tag {self.tag!r}")
         if not isinstance(self.n, int) or self.n < 0:
             raise DomainError(f"n must be a nonnegative integer, got {self.n!r}")
-        if self.tag in (REGULAR, CYCLE, NEARLY_REGULAR, FIRST_CYCLE, WITH_ROOT):
-            check_modulus(self.r, "r")
-        if self.tag in (UNIFORM_MULTIPLES, SINGULAR_TYPE):
-            check_modulus(self.q, "q")
-        if self.tag == UNIFORM_MULTIPLES:
-            check_modulus(self.r, "r")
-        if self.tag in (FIRST_CYCLE, ODD_WITH_FIRST, EVEN_FIRST):
+        params, _ = _FAMILIES[self.tag]
+        for name in params:  # in the order listed: cyc-qr checks q before r
+            if name in ("r", "q"):
+                check_modulus(getattr(self, name), name)
+        if "k" in params:
             if not isinstance(self.k, int) or self.k < 1:
                 raise DomainError(f"k must be a positive integer, got {self.k!r}")
-            if self.tag == FIRST_CYCLE and self.k > self.n:
+            if self.k > self.n:
                 raise DomainError(f"k={self.k} exceeds n={self.n}")
-        if self.tag == SINGULAR_TYPE:
+        if "rho" in params:
             if self.rho is None:
                 raise DomainError("singular-type family needs a cycle type rho")
             if self.rho.total > self.n:
@@ -68,46 +55,81 @@ class FamilySpec:
             if any(ln % self.q != 0 for ln in self.rho.lengths()):
                 raise DomainError("rho contains a length not divisible by q")
 
-    # constructors, one per family
     @classmethod
     def regular(cls, r: int, n: int) -> "FamilySpec":
-        return cls(REGULAR, n, r=r)
+        return cls("reg", n, r=r)
 
     @classmethod
     def cycle(cls, r: int, n: int) -> "FamilySpec":
-        return cls(CYCLE, n, r=r)
+        return cls("cyc", n, r=r)
 
     @classmethod
     def nearly_regular(cls, r: int, n: int) -> "FamilySpec":
-        return cls(NEARLY_REGULAR, n, r=r)
+        return cls("nreg", n, r=r)
 
     @classmethod
     def first_cycle(cls, r: int, k: int, n: int) -> "FamilySpec":
-        return cls(FIRST_CYCLE, n, r=r, k=k)
+        return cls("q", n, r=r, k=k)
 
     @classmethod
     def odd_with_first(cls, n: int, k: int) -> "FamilySpec":
-        return cls(ODD_WITH_FIRST, n, k=k)
+        """A_{n,2k-1} = Q_{2,2k-1}(n): every cycle odd, 1 in a (2k-1)-cycle."""
+        return cls._first_cycle_r2(n, k, 2 * k - 1)
 
     @classmethod
     def even_first(cls, n: int, k: int) -> "FamilySpec":
-        return cls(EVEN_FIRST, n, k=k)
+        """P_{n,2k} = Q_{2,2k}(n): 1 in a 2k-cycle, every other cycle odd."""
+        return cls._first_cycle_r2(n, k, 2 * k)
+
+    @classmethod
+    def _first_cycle_r2(cls, n: int, k: int, length: int) -> "FamilySpec":
+        if not isinstance(k, int) or k < 1:
+            raise DomainError(f"k must be a positive integer, got {k!r}")
+        if isinstance(n, int) and 0 <= n < length:
+            raise DomainError(f"need n >= {length} for a first cycle of length {length}")
+        return cls.first_cycle(2, length, n)
 
     @classmethod
     def uniform_multiples(cls, q: int, r: int, n: int) -> "FamilySpec":
-        return cls(UNIFORM_MULTIPLES, n, q=q, r=r)
+        return cls("cyc-qr", n, q=q, r=r)
 
     @classmethod
     def singular_type(cls, rho: CycleType, q: int, n: int) -> "FamilySpec":
-        return cls(SINGULAR_TYPE, n, q=q, rho=rho)
+        return cls("s-rho-q", n, q=q, rho=rho)
 
     @classmethod
     def with_root(cls, r: int, n: int) -> "FamilySpec":
-        return cls(WITH_ROOT, n, r=r)
+        return cls("roots", n, r=r)
 
     @classmethod
     def everything(cls, n: int) -> "FamilySpec":
-        return cls(ALL, n)
+        return cls("all", n)
+
+
+# tag -> (the parameters the family needs, its membership test on the canonical
+# cycle lengths ls of a permutation and the spec s; ls[0] is the cycle of 1)
+_FAMILIES = {
+    "reg": (("r",), lambda ls, s: all(ln % s.r for ln in ls)),  # no length divisible by r
+    "cyc": (("r",), lambda ls, s: not any(ln % s.r for ln in ls)),  # all lengths divisible by r
+    # only the cycle of 1 is singular
+    "nreg": (
+        ("r",), lambda ls, s: ls[:1] != () and ls[0] % s.r == 0 and all(ln % s.r for ln in ls[1:])
+    ),
+    # the cycle of 1 has length k, every other cycle is regular
+    "q": (("r", "k"), lambda ls, s: ls[:1] == (s.k,) and all(ln % s.r for ln in ls[1:])),
+    # lengths multiples of q, each length occurring a multiple of r times
+    "cyc-qr": (
+        ("q", "r"), lambda ls, s: all(ln % s.q == 0 and ls.count(ln) % s.r == 0 for ln in ls)
+    ),
+    # the q-singular cycles have cycle type rho
+    "s-rho-q": (
+        ("q", "rho"),
+        lambda ls, s: tuple(sorted(ln for ln in ls if ln % s.q == 0)) == s.rho.expand(),
+    ),
+    # has an r-th root (type_has_root is looked up in roots on each call)
+    "roots": (("r",), lambda ls, s: roots.type_has_root(tuple(sorted(ls)), s.r)),
+    "all": ((), lambda ls, s: True),
+}
 
 
 # -- predicates on whole permutations (any ground set) ----------------------
@@ -117,71 +139,20 @@ def is_regular(p: Permutation, r: int) -> bool:
     return all(len(c) % r != 0 for c in p.cycles)
 
 
-def is_cycle_permutation(p: Permutation, r: int) -> bool:
-    check_modulus(r, "r")
-    return all(len(c) % r == 0 for c in p.cycles)
-
-
 def is_nearly_regular(p: Permutation, r: int) -> bool:
     """Every cycle regular except the one containing the ground-set minimum,
     which is singular.  False for the empty permutation."""
     check_modulus(r, "r")
-    if not p.cycles:
-        return False
-    first, rest = p.cycles[0], p.cycles[1:]
-    return len(first) % r == 0 and all(len(c) % r != 0 for c in rest)
-
-
-def is_enriched_cycle_permutation(e: EnrichedPermutation) -> bool:
-    return all(len(c) % e.r == 0 for c in e.base.cycles)
-
-
-def _matches(lengths: tuple[int, ...], first_len: int, spec: FamilySpec) -> bool:
-    """Membership test given cycle lengths (canonical order; first cycle is
-    the one containing the minimum, length 0 meaning empty)."""
-    tag = spec.tag
-    if tag == ALL:
-        return True
-    if tag == REGULAR:
-        return all(ln % spec.r != 0 for ln in lengths)
-    if tag == CYCLE:
-        return all(ln % spec.r == 0 for ln in lengths)
-    if tag == NEARLY_REGULAR:
-        return (
-            first_len > 0
-            and first_len % spec.r == 0
-            and all(ln % spec.r != 0 for ln in lengths[1:])
-        )
-    if tag == FIRST_CYCLE:
-        return first_len == spec.k and all(ln % spec.r != 0 for ln in lengths[1:])
-    if tag == ODD_WITH_FIRST:
-        return first_len == 2 * spec.k - 1 and all(ln % 2 == 1 for ln in lengths)
-    if tag == EVEN_FIRST:
-        return first_len == 2 * spec.k and all(ln % 2 == 1 for ln in lengths[1:])
-    if tag == UNIFORM_MULTIPLES:
-        if any(ln % spec.q != 0 for ln in lengths):
-            return False
-        counts: dict[int, int] = {}
-        for ln in lengths:
-            counts[ln] = counts.get(ln, 0) + 1
-        return all(ct % spec.r == 0 for ct in counts.values())
-    if tag == SINGULAR_TYPE:
-        singular = tuple(sorted(ln for ln in lengths if ln % spec.q == 0))
-        return singular == spec.rho.expand()
-    if tag == WITH_ROOT:
-        from .roots import type_has_root
-
-        return type_has_root(tuple(sorted(lengths)), spec.r)
-    raise DomainError(f"unknown family tag {tag!r}")
+    lengths = p.cycle_lengths()
+    return lengths[:1] != () and lengths[0] % r == 0 and all(ln % r for ln in lengths[1:])
 
 
 def classify(p: Permutation, spec: FamilySpec) -> bool:
     """True iff ``p`` (a permutation of [spec.n]) belongs to the family."""
     if p.ground_set() != frozenset(range(1, spec.n + 1)):
         raise DomainError(f"ground set is not [{spec.n}]")
-    lengths = p.cycle_lengths()
-    first_len = lengths[0] if lengths else 0
-    return _matches(lengths, first_len, spec)
+    _, member = _FAMILIES[spec.tag]
+    return member(p.cycle_lengths(), spec)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -215,14 +186,10 @@ def enumerate_family(
     of one-line notation.  Refuses n beyond ``bound``."""
     if spec.n > bound:
         raise EnumerationBoundError(f"n={spec.n} exceeds the enumeration bound {bound}")
-    if spec.n == 0:
-        if _matches((), 0, spec):
-            yield Permutation()
-        return
+    _, member = _FAMILIES[spec.tag]
     for img in itertools.permutations(range(1, spec.n + 1)):
         cycles = _cycles_of_one_line(img)
-        lengths = tuple(len(c) for c in cycles)
-        if _matches(lengths, lengths[0], spec):
+        if member(tuple(map(len, cycles)), spec):
             yield Permutation._from_canonical(cycles)
 
 
@@ -238,13 +205,10 @@ def enumerate_regular_on(
 
 
 def _colorings(base: Permutation, r: int) -> Iterator[EnrichedPermutation]:
-    slots = [i for i, c in enumerate(base.cycles) if len(c) % r == 0]
-    template: list[int | None] = [None] * len(base.cycles)
-    for combo in itertools.product(range(1, r), repeat=len(slots)):
-        seq = list(template)
-        for i, col in zip(slots, combo):
-            seq[i] = col
-        yield EnrichedPermutation(base, r, tuple(seq))
+    singular = [len(c) % r == 0 for c in base.cycles]
+    for combo in itertools.product(range(1, r), repeat=sum(singular)):
+        colors = iter(combo)
+        yield EnrichedPermutation(base, r, tuple(next(colors) if s else None for s in singular))
 
 
 def enumerate_enriched_cycles(

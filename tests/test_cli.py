@@ -70,12 +70,27 @@ class TestMap:
         assert err.startswith("error: line 2: ")
 
     @pytest.mark.parametrize(
-        "name, message", [("delta-inv", "delta-inv needs --x"), ("psi", "psi needs --j")]
+        "argv, message",
+        [
+            pytest.param(
+                ("map", "delta-inv", "--r", "3"), "delta-inv needs --x",
+                id="delta-inv-delta-inv needs --x",
+            ),
+            pytest.param(("map", "psi", "--r", "3"), "psi needs --j", id="psi-psi needs --j"),
+            pytest.param(
+                ("map", "lambda-inv", "--r", "1"), "r must be an integer >= 2, got 1",
+                id="map-bad-r",
+            ),
+            pytest.param(
+                ("root", "--r", "1"), "root degree must be an integer >= 2, got 1",
+                id="root-bad-r",
+            ),
+        ],
     )
-    def test_argument_error_before_stdin(self, capsys, monkeypatch, name, message):
+    def test_argument_error_before_stdin(self, capsys, monkeypatch, argv, message):
         stdin = io.StringIO("(1 2)\n(1) (2)\n")
         monkeypatch.setattr("sys.stdin", stdin)
-        code, out, err = run_cli(capsys, "map", name, "--r", "3")
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
         assert stdin.tell() == 0
@@ -135,6 +150,21 @@ class TestRoot:
         assert [p["exists"] for p in payloads] == [False, True]
         assert err.startswith("error: line 2: ")
 
+    def test_blank_stdin_lines_are_skipped(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("(1 2)(3 4)\n\n  \n(1 3)\n\n"))
+        code, out, err = run_cli(capsys, "root", "--r", "2")
+        assert code == 0 and err == ""
+        assert out.splitlines() == ["yes (1 3 2 4)", "no"]
+
+    def test_blank_stdin_lines_are_skipped_json(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("(1 2)\n\n)\n\t\n(1)\n"))
+        code, out, err = run_cli(capsys, "root", "--r", "2", "--format", "json")
+        assert code == 2
+        payloads = [json.loads(line) for line in out.splitlines()]
+        assert [(p["n"], p["exists"]) for p in payloads] == [(2, False), (1, True)]
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: line 3: ")
+
     def test_prime_power_flags(self, capsys):
         code_a, out_a, _ = run_cli(capsys, "root", "--q", "2", "--l", "2", "(1 2)(3 4)")
         code_b, out_b, _ = run_cli(capsys, "root", "--r", "4", "(1 2)(3 4)")
@@ -184,6 +214,31 @@ class TestCountProb:
         assert code == 0
         assert payload["methods"] == {"formula": "8680", "enumerate": "8680"}
 
+    @pytest.mark.parametrize("method", ["formula", "enumerate"])
+    def test_method_reports_only_itself(self, capsys, method):
+        code, payload, _ = run_json(
+            capsys, "count", "--family", "q", "--r", "2", "--k", "2", "--n", "5",
+            "--method", method,
+        )
+        assert code == 0
+        assert payload["methods"] == {method: "12"} and payload["value"] == "12"
+
+    def test_cyc_star_enumerate_counts_colorings(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "count", "--family", "cyc-star", "--r", "3", "--n", "6",
+            "--method", "enumerate",
+        )
+        assert code == 0
+        assert payload["methods"] == {"enumerate": "400"}
+
+    def test_missing_method_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "--family", "q", "--r", "2", "--k", "1", "--n", "4",
+            "--method", "recurrence",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: family 'q' has no recurrence count\n"
+
     def test_prob_non_prime_power(self, capsys):
         code, out, _ = run_cli(capsys, "prob", "--r", "10", "--n", "30")
         assert code == 0 and out.strip() == "6441528799633/54486432000000"
@@ -217,6 +272,12 @@ class TestEnumerate:
         jsonschema.validate(payload, SCHEMAS["enumerate"])
         assert payload["count"] == 3
 
+    @pytest.mark.parametrize("family, k, length", [("a", "3", 5), ("p", "2", 4)])
+    def test_first_cycle_longer_than_n_exits_2(self, capsys, family, k, length):
+        code, out, err = run_cli(capsys, "enumerate", "--family", family, "--k", k, "--n", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: need n >= {length} for a first cycle of length {length}\n"
+
     def test_bound_violation_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "enumerate", "--family", "all", "--n", "12"
@@ -230,6 +291,37 @@ class TestEnumerate:
         )
         assert code == 2 and out == ""
         assert err.strip() == "error: enumeration bound must be positive"
+
+    # one invocation per --family name, with the params echo it gives
+    FAMILY_CASES = [
+        ("reg", ("--r", "2", "--n", "5"), {"n": 5, "r": 2}),
+        ("cyc", ("--r", "3", "--n", "6"), {"n": 6, "r": 3}),
+        ("cyc-star", ("--r", "3", "--n", "6"), {"n": 6, "r": 3}),
+        ("nreg", ("--r", "2", "--n", "5"), {"n": 5, "r": 2}),
+        ("q", ("--r", "3", "--k", "2", "--n", "5"), {"n": 5, "r": 3, "k": 2}),
+        ("a", ("--k", "2", "--n", "5"), {"n": 5, "k": 2}),
+        ("p", ("--k", "1", "--n", "5"), {"n": 5, "k": 1}),
+        ("cyc-qr", ("--q", "2", "--r", "2", "--n", "4"), {"n": 4, "q": 2, "r": 2}),
+        ("s-rho-q", ("--q", "2", "--rho", "2^2", "--n", "5"), {"n": 5, "q": 2, "rho": "2^2"}),
+        ("roots", ("--q", "2", "--l", "2", "--n", "5"), {"n": 5, "r": 4}),
+        ("all", ("--n", "4"), {"n": 4}),
+    ]
+
+    @pytest.mark.parametrize("family, flags, params", FAMILY_CASES)
+    def test_every_family_counts_its_stream(self, capsys, family, flags, params):
+        argv = ("--family", family, *flags)
+        code, counted, _ = run_json(capsys, "count", *argv, "--method", "all")
+        assert code == 0
+        jsonschema.validate(counted, SCHEMAS["count"])
+        assert set(counted["methods"].values()) == {counted["value"]}
+        assert "enumerate" in counted["methods"]
+        code, out, _ = run_cli(capsys, "enumerate", *argv)
+        assert code == 0
+        assert len(out.splitlines()) == int(counted["value"]) > 0
+        code, listed, _ = run_json(capsys, "enumerate", *argv)
+        assert code == 0
+        assert listed["items"] == out.splitlines()
+        assert counted["params"] == listed["params"] == params
 
 
 class TestVerify:

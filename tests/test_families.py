@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -111,3 +112,54 @@ class TestEnumerate:
         # two 3-cycles, two colors each
         assert len(members) == 4
         assert len(set(members)) == 4
+
+
+# sha256 over every family stream of stream_grid(), recorded before the families
+# were declared in one table; it pins membership and stream order of every tag.
+FAMILY_STREAMS_SHA256 = "fe850a8a2188abccd2f6b6bf92e79967b94d6f3a4fc1ddd1c6eb6cc1b2a4342c"
+
+
+def _singular_types(q, n):
+    """Every cycle type with all lengths divisible by q and size <= n, as text."""
+    def parts(budget, smallest):
+        yield ()
+        for length in range(smallest, budget + 1, q):
+            for rest in parts(budget - length, length):
+                yield (length,) + rest
+
+    for lengths in parts(n, q):
+        yield ",".join(f"{ln}^{lengths.count(ln)}" for ln in sorted(set(lengths)))
+
+
+def stream_grid():
+    """(label, spec) for every tag at n <= 6, r in {2, 3, 4}, every k,
+    q in {2, 3} and every admissible rho, plus the A/P constructors."""
+    for n in range(7):
+        yield f"all {n}", FamilySpec.everything(n)
+        for r in (2, 3, 4):
+            yield f"reg {r} {n}", FamilySpec.regular(r, n)
+            yield f"cyc {r} {n}", FamilySpec.cycle(r, n)
+            yield f"nreg {r} {n}", FamilySpec.nearly_regular(r, n)
+            yield f"roots {r} {n}", FamilySpec.with_root(r, n)
+            for k in range(1, n + 1):
+                yield f"q {r} {k} {n}", FamilySpec.first_cycle(r, k, n)
+        for q in (2, 3):
+            for r in (2, 3, 4):
+                yield f"cyc-qr {q} {r} {n}", FamilySpec.uniform_multiples(q, r, n)
+            for rho in _singular_types(q, n):
+                yield f"s-rho-q {rho} {q} {n}", FamilySpec.singular_type(
+                    parse_cycle_type(rho), q, n
+                )
+        for k in range(1, (n + 1) // 2 + 1):
+            yield f"odd_with_first {n} {k}", FamilySpec.odd_with_first(n, k)
+        for k in range(1, n // 2 + 1):
+            yield f"even_first {n} {k}", FamilySpec.even_first(n, k)
+
+
+def test_family_streams_unchanged():
+    h = hashlib.sha256()
+    for label, spec in stream_grid():
+        h.update(f"{label}\n".encode())
+        for p in enumerate_family(spec):
+            h.update(f"{p}\n".encode())
+    assert h.hexdigest() == FAMILY_STREAMS_SHA256
