@@ -207,12 +207,12 @@ def _type_dp(n: int, length_specs) -> list[int]:
 
 def count_enriched_cyc(r: int, n: int) -> int:
     """|Cyc*_r(n)|: r-cycle permutations of [n] with each cycle colored by
-    one of r-1 colors.  Equals |Reg_r(n)| when r divides n."""
+    one of r-1 colors.  Equals |Reg_r(n)| when r divides n; zero otherwise."""
     _check_params(r, n)
     if n == 0:
         return 1
     if n % r != 0:
-        raise DomainError(f"n={n} is not a multiple of r={r}")
+        return 0
     specs = [(length, 1, r - 1) for length in range(r, n + 1, r)]
     return _type_dp(n, specs)[n]
 
@@ -234,8 +234,10 @@ def count_q_family(r: int, k: int, n: int) -> int:
     """|Q_{r,k}(n)|: permutations of [n] whose cycle containing 1 has length
     exactly k, all other cycles r-regular."""
     _check_params(r, n)
-    if not isinstance(k, int) or not 1 <= k <= n:
+    if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must lie in 1..{n}, got {k!r}")
+    if k > n:
+        raise DomainError(f"need n >= {k} for a first cycle of length {k}")
     return falling_factorial(n - 1, k - 1) * count_reg(r, n - k)
 
 

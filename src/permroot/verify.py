@@ -300,7 +300,8 @@ def _extract_insert_roundtrip(bounds):
                     return checked, f"extract({sigma}, r={r}) gave invalid ({x}, {rest})"
                 if bij.insert_element(x, rest, r) != sigma:
                     return checked, f"insert(extract({sigma})) != original (r={r})"
-                outputs.add((x, rest))
+                # rest's ground set is [n] minus x, so its one-line form fixes it
+                outputs.add((x, *rest.one_line()))
             if len(outputs) != domain or domain != n * cnt.count_reg(r, n - 1):
                 return checked, (
                     f"r={r} n={n}: extraction is not bijective "
@@ -539,14 +540,22 @@ def _criterion_vs_bruteforce(bounds):
     r_values = tuple(bounds["r_values"])
     checked = 0
     for n in range(n_max + 1):
-        tables = [(r, brute_force_root_table(n, r)) for r in r_values]
+        # one walk of S_n for the cycle types (one shared tuple per type), in
+        # the lexicographic order itertools.permutations also follows; then
+        # one root table alive at a time
+        types: dict[tuple, tuple] = {}
+        walk = []
         for p in enumerate_family(FamilySpec.everything(n)):
             lengths = tuple(sorted(p.cycle_lengths()))
-            img = p.one_line()
-            for r, table in tables:
+            walk.append(types.setdefault(lengths, lengths))
+        for r in r_values:
+            table = brute_force_root_table(n, r)
+            images = itertools.permutations(range(1, n + 1))
+            for img, lengths in zip(images, walk, strict=True):
                 verdict = type_has_root(lengths, r)
                 checked += 1
                 if verdict != (img in table):
+                    p = Permutation.from_one_line(range(1, n + 1), img)
                     return checked, (
                         f"criterion {verdict} != brute force on {p} (r={r})"
                     )

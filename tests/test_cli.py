@@ -231,6 +231,13 @@ class TestCountProb:
         assert code == 0
         assert payload["methods"] == {"enumerate": "400"}
 
+    def test_cyc_star_count_zero_when_r_does_not_divide_n(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "count", "--family", "cyc-star", "--r", "3", "--n", "4", "--method", "all"
+        )
+        assert code == 0
+        assert payload["methods"] == {"formula": "0", "enumerate": "0"}
+
     def test_missing_method_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "count", "--family", "q", "--r", "2", "--k", "1", "--n", "4",
@@ -277,6 +284,14 @@ class TestEnumerate:
         code, out, err = run_cli(capsys, "enumerate", "--family", family, "--k", k, "--n", "3")
         assert code == 2 and out == ""
         assert err == f"error: need n >= {length} for a first cycle of length {length}\n"
+
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    def test_q_first_cycle_longer_than_n_exits_2(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "--family", "q", "--r", "2", "--k", "5", "--n", "4"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: need n >= 5 for a first cycle of length 5\n"
 
     def test_bound_violation_exits_2(self, capsys):
         code, _, err = run_cli(

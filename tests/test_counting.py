@@ -121,7 +121,10 @@ class TestEnriched:
 
     def test_modulus_checked(self):
         with pytest.raises(DomainError):
-            count_enriched_cyc(3, 4)
+            count_enriched_cyc(1, 4)
+        # no r-cycle permutation of [n] when r does not divide n, as count_cyc says
+        for r, n in ((3, 4), (2, 5), (4, 6)):
+            assert count_enriched_cyc(r, n) == count_cyc(r, n) == 0
 
     def test_matches_sum_over_types(self):
         # every cycle length a multiple of r, each cycle colored one of r-1 ways
@@ -153,6 +156,15 @@ class TestFirstCycleFamilies:
 
     def test_q_2_1_2(self):
         assert count_q_family(2, 1, 2) == 1
+
+    def test_first_cycle_longer_than_n(self):
+        message = "need n >= 5 for a first cycle of length 5"
+        with pytest.raises(DomainError, match=message):
+            count_q_family(2, 5, 4)
+        with pytest.raises(DomainError, match=message):
+            FamilySpec.first_cycle(2, 5, 4)
+        with pytest.raises(DomainError, match=r"k must lie in 1\.\.4, got 0"):
+            count_q_family(2, 0, 4)
 
 
 class TestOddEvenFamilies:

@@ -3,10 +3,13 @@ import itertools
 
 import pytest
 
+from permroot import families
 from permroot.counting import count_reg
 from permroot.errors import DomainError, EnumerationBoundError
 from permroot.families import (
+    _FAMILIES,
     FamilySpec,
+    _cycles_of_one_line,
     classify,
     enumerate_enriched_cycles,
     enumerate_family,
@@ -77,6 +80,8 @@ class TestEnumerate:
     def test_bound_enforced(self):
         with pytest.raises(EnumerationBoundError):
             next(enumerate_family(FamilySpec.everything(11)))
+        with pytest.raises(EnumerationBoundError, match="exceeds 12, the largest n enumerated"):
+            next(enumerate_family(FamilySpec.everything(13), bound=13))
         assert sum(1 for _ in enumerate_family(FamilySpec.everything(3), bound=3)) == 6
 
     def test_q_partitions_regular(self):
@@ -163,3 +168,78 @@ def test_family_streams_unchanged():
         for p in enumerate_family(spec):
             h.update(f"{p}\n".encode())
     assert h.hexdigest() == FAMILY_STREAMS_SHA256
+
+
+def assert_matches_reference(n, specs):
+    """Walk S_n once with the plain per-permutation filter and check that
+    enumerate_family yields, for every spec, the same members in the same order."""
+    streams = [(_FAMILIES[spec.tag][1], spec, enumerate_family(spec)) for spec in specs]
+    for img in itertools.permutations(range(1, n + 1)):
+        cycles = _cycles_of_one_line(img)
+        ls = tuple(map(len, cycles))
+        for member, spec, stream in streams:
+            if member(ls, spec):
+                assert next(stream).cycles == cycles, (spec, img)
+    for _, spec, stream in streams:
+        assert next(stream, None) is None, spec
+
+
+def oracle_grid(n):
+    """Every tag at n (q once n >= 1), with a few parameters each."""
+    yield FamilySpec.everything(n)
+    for r in (2, 3):
+        yield FamilySpec.regular(r, n)
+        yield FamilySpec.cycle(r, n)
+        yield FamilySpec.nearly_regular(r, n)
+        yield FamilySpec.with_root(r, n)
+        for k in range(1, min(n, 3) + 1):
+            yield FamilySpec.first_cycle(r, k, n)
+    for q, r in ((2, 2), (3, 2), (2, 3)):
+        yield FamilySpec.uniform_multiples(q, r, n)
+    for rho in ("", "2", "2^2", "4", "2,4"):
+        cycle_type = parse_cycle_type(rho)
+        if cycle_type.total <= n:
+            yield FamilySpec.singular_type(cycle_type, 2, n)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_prefix_scan_matches_per_permutation_filter(n):
+    specs = list(oracle_grid(n))
+    assert {spec.tag for spec in specs} == set(_FAMILIES) - ({"q"} if n == 0 else set())
+    assert_matches_reference(n, specs)
+
+
+def test_prefix_scan_matches_per_permutation_filter_at_9():
+    assert_matches_reference(9, [
+        FamilySpec.regular(2, 9), FamilySpec.cycle(3, 9), FamilySpec.uniform_multiples(3, 3, 9)
+    ])
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def test_membership_reads_first_length_and_multiset_only():
+    # the contract enumerate_family relies on: it passes ls[1:] sorted
+    for n in range(8):
+        specs = list(oracle_grid(n)) + [
+            FamilySpec.first_cycle(4, k, n) for k in range(1, n + 1)
+        ] + [FamilySpec.regular(4, n), FamilySpec.uniform_multiples(3, 3, n)]
+        for ls in _compositions(n):
+            orders = {ls[:1] + rest for rest in itertools.permutations(ls[1:])}
+            for spec in specs:
+                member = _FAMILIES[spec.tag][1]
+                assert len({bool(member(order, spec)) for order in orders}) == 1, (ls, spec)
+
+
+def test_scan_keeps_no_per_permutation_state():
+    assert sum(1 for _ in enumerate_family(FamilySpec.uniform_multiples(3, 3, 9))) == 2240
+    memo, keys = families._COMPLETIONS[9]
+    assert len(memo) + len(keys) < 2000
+    # one chunk of 4! key ids per signature, nothing with 9! entries
+    assert all(len(chunk) == 24 for chunk in memo.values())
+    assert set(families._COMPLETIONS) <= set(range(10))
