@@ -421,8 +421,9 @@ def _cmd_prob(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     family, spec, params = _family_spec(args)
-    items = [str(p) for p in family.stream(spec, args.bound)]
+    members = family.stream(spec, args.bound)
     if args.format == "json":
+        items = [str(p) for p in members]
         payload = {
             "family": args.family,
             "params": params,
@@ -431,8 +432,9 @@ def _cmd_enumerate(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        for item in items:
-            print(item)
+        # one line per member as it comes, so memory stays flat in n!
+        for p in members:
+            print(p)
     return EXIT_OK
 
 

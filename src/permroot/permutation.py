@@ -14,6 +14,8 @@ never colored.
 from __future__ import annotations
 
 import re
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import CycleNotationError, DomainError, InvalidPermutationError
@@ -23,24 +25,36 @@ Cycle = tuple[int, ...]
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s+\d+)*)\s*\)(?:_(\d+))?")
 
 
-def _canonical_cycles(cycles: Iterable[Iterable[int]]) -> tuple[Cycle, ...]:
-    """Validate disjointness, rotate each cycle to its minimum, sort by minima."""
-    seen: set[int] = set()
-    out: list[Cycle] = []
-    for raw in cycles:
-        cyc = tuple(raw)
-        if not cyc:
-            raise InvalidPermutationError("empty cycle")
-        for e in cyc:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-                raise InvalidPermutationError(f"cycle entries must be positive integers, got {e!r}")
-            if e in seen:
-                raise InvalidPermutationError(f"element {e} appears in more than one position")
-            seen.add(e)
-        pivot = cyc.index(min(cyc))
-        out.append(cyc[pivot:] + cyc[:pivot])
-    out.sort(key=lambda c: c[0])
-    return tuple(out)
+def _canonical_cycles(cycles: Iterable[Iterable[int]]) -> list[Cycle]:
+    """Validate disjointness and rotate each cycle to its minimum, keeping
+    input order; sorting by first entries then gives the canonical order.
+
+    The checks run on all entries at once; only when one fails does the
+    per-element loop run, to name the first bad element in input order."""
+    out = [tuple(raw) for raw in cycles]
+    entries = list(chain.from_iterable(out))
+    if not (
+        all(out)
+        and set(map(type, entries)) <= {int}
+        and min(entries, default=1) >= 1
+        and len(set(entries)) == len(entries)
+    ):
+        seen: set[int] = set()
+        for cyc in out:
+            if not cyc:
+                raise InvalidPermutationError("empty cycle")
+            for e in cyc:
+                if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+                    raise InvalidPermutationError(
+                        f"cycle entries must be positive integers, got {e!r}"
+                    )
+                if e in seen:
+                    raise InvalidPermutationError(f"element {e} appears in more than one position")
+                seen.add(e)
+    pivots = list(map(tuple.index, out, map(min, out)))
+    if any(pivots):
+        out = [cyc[i:] + cyc[:i] for cyc, i in zip(out, pivots)]
+    return out
 
 
 class Permutation:
@@ -49,7 +63,7 @@ class Permutation:
     __slots__ = ("_cycles",)
 
     def __init__(self, cycles: Iterable[Iterable[int]] = ()):
-        self._cycles = _canonical_cycles(cycles)
+        self._cycles = tuple(sorted(_canonical_cycles(cycles), key=itemgetter(0)))
 
     @classmethod
     def _from_canonical(cls, cycles: tuple[Cycle, ...]) -> "Permutation":
@@ -177,7 +191,7 @@ class Permutation:
         return hash(self._cycles)
 
     def __str__(self) -> str:
-        return " ".join("(" + " ".join(str(e) for e in c) + ")" for c in self._cycles)
+        return " ".join("(" + " ".join(map(str, c)) + ")" for c in self._cycles)
 
     def __repr__(self) -> str:
         return f"Permutation({str(self)!r})"
@@ -286,7 +300,7 @@ class EnrichedPermutation:
     def __str__(self) -> str:
         parts = []
         for cyc, col in zip(self._base.cycles, self._color_seq):
-            text = "(" + " ".join(str(e) for e in cyc) + ")"
+            text = "(" + " ".join(map(str, cyc)) + ")"
             parts.append(text if col is None else f"{text}_{col}")
         return " ".join(parts)
 
@@ -389,26 +403,31 @@ def parse(text: str, r: int | None = None) -> Permutation | EnrichedPermutation:
     whitespace; the empty string is the empty permutation.
     """
     cycles: list[Cycle] = []
-    colors: list[int | None] = []
+    colors: list[str | None] = []
     pos = 0
     for m in _CYCLE_RE.finditer(text):
-        if text[pos : m.start()].strip():
-            raise CycleNotationError(f"unexpected text {text[pos:m.start()]!r}")
+        start = m.start()
+        if text[pos:start].strip():
+            raise CycleNotationError(f"unexpected text {text[pos:start]!r}")
         pos = m.end()
-        cyc = tuple(int(tok) for tok in m.group(1).split())
-        if any(e < 1 for e in cyc):
+        body, color = m.groups()
+        cyc = tuple(map(int, body.split()))
+        if 0 in cyc:  # \d+ gives entries >= 0
             raise CycleNotationError("cycle entries must be positive integers")
         cycles.append(cyc)
-        colors.append(int(m.group(2)) if m.group(2) is not None else None)
+        colors.append(color)
     if text[pos:].strip():
         raise CycleNotationError(f"unexpected trailing text {text[pos:]!r}")
 
     if r is None:
-        if any(c is not None for c in colors):
+        if colors.count(None) != len(colors):
             raise CycleNotationError("color subscripts require an enrichment modulus r")
         return Permutation(cycles)
 
-    # re-canonicalizing may reorder cycles, so colors must travel with them
-    order = sorted(range(len(cycles)), key=lambda i: min(cycles[i]))
-    base = Permutation(cycles)
-    return EnrichedPermutation(base, r, tuple(colors[i] for i in order))
+    # one sort on the (distinct) minima carries each color with its cycle
+    rotated = _canonical_cycles(cycles)
+    triples = sorted(zip(map(itemgetter(0), rotated), rotated, colors))
+    base = Permutation._from_canonical(tuple(map(itemgetter(1), triples)))
+    return EnrichedPermutation(
+        base, r, tuple(None if col is None else int(col) for _, _, col in triples)
+    )

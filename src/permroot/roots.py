@@ -10,14 +10,21 @@ powers r = q**l that step is r when q divides L and 1 otherwise, the
 classical criterion.
 
 Construction stays brute force and is the independent oracle the criteria
-are validated against.
+are validated against: ``find_root_bruteforce`` and
+``brute_force_root_table`` visit every permutation of the ground set in
+lexicographic order and compare its r-th power with the target, never
+looking at cycle types.  A power is built by square-and-multiply on
+one-line tuples (each composition one ``itemgetter`` call), with r reduced
+mod lcm(1..n), so a huge r costs no more than a small one; the search first
+compares where the power sends the least element, one walk of its cycle.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import DomainError, check_modulus
 from .permutation import CycleType, Permutation
@@ -116,44 +123,57 @@ def is_qr_divisible(rho: CycleType, q: int, r: int) -> bool:
 
 # -- brute force ---------------------------------------------------------------
 
-def _power_image(
-    img: tuple[int, ...], elems: tuple[int, ...], positions: dict[int, int], r: int
-) -> tuple[int, ...]:
-    """Image tuple of the r-th power of the permutation given by ``img`` over
-    the sorted ground set ``elems``; ``positions`` maps element -> index."""
-    n = len(img)
-    out = [0] * n
-    seen = bytearray(n)
-    for s in range(n):
-        if seen[s]:
-            continue
-        cyc = [s]
-        seen[s] = 1
-        t = positions[img[s]]
-        while t != s:
-            seen[t] = 1
-            cyc.append(t)
-            t = positions[img[t]]
-        m = len(cyc)
-        for i, pos in enumerate(cyc):
-            out[pos] = elems[cyc[(i + r) % m]]
-    return tuple(out)
+def _power(img: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """img**e for e >= 0, where ``img`` is a permutation of 0..len(img)-1 in
+    one-line form, by square-and-multiply: composing two such tuples is one
+    ``itemgetter`` call (which needs len(img) >= 2 when e > 0)."""
+    if not e:
+        return tuple(range(len(img)))
+    result = None
+    while True:
+        if e & 1:
+            result = img if result is None else itemgetter(*img)(result)
+        e >>= 1
+        if not e:
+            return result
+        img = itemgetter(*img)(img)
+
+
+def _period(n: int) -> int:
+    """lcm(1..n): pi**r == pi**(r % lcm(1..n)) for every pi in S_n."""
+    return lcm(*range(1, n + 1))
 
 
 def find_root_bruteforce(sigma: Permutation, r: int) -> Permutation | None:
     """The lexicographically least pi with pi**r = sigma, or None.  Bounded
-    to ground sets of at most BRUTE_FORCE_BOUND elements."""
+    to ground sets of at most BRUTE_FORCE_BOUND elements.
+
+    Every candidate is visited in lexicographic order; a candidate whose
+    r-th power moves the least element elsewhere than sigma does is
+    rejected after one walk of that element's cycle, before its full power
+    is built."""
     check_modulus(r, "root degree")
     if sigma.size > BRUTE_FORCE_BOUND:
         raise DomainError(
             f"brute-force search is limited to {BRUTE_FORCE_BOUND} elements, got {sigma.size}"
         )
     elems = sigma.elements()
-    positions = {e: i for i, e in enumerate(elems)}
-    target = sigma.one_line()
-    for img in itertools.permutations(elems):
-        if _power_image(img, elems, positions, r) == target:
-            return Permutation.from_one_line(elems, img)
+    if not elems:
+        return sigma  # S_0 holds only the empty permutation, its own r-th power
+    n = len(elems)
+    e = r % _period(n)
+    # candidates and target act on positions 0..n-1 of the sorted ground set
+    positions = {x: i for i, x in enumerate(elems)}
+    target = tuple(positions[x] for x in sigma.one_line())
+    first = target[0]
+    for img in itertools.permutations(range(n)):
+        cycle = [0]
+        x = img[0]
+        while x:
+            cycle.append(x)
+            x = img[x]
+        if cycle[e % len(cycle)] == first and _power(img, e) == target:
+            return Permutation.from_one_line(elems, [elems[i] for i in img])
     return None
 
 
@@ -164,9 +184,11 @@ def brute_force_root_table(n: int, r: int) -> dict[tuple[int, ...], tuple[int, .
         raise DomainError(
             f"brute-force search is limited to {BRUTE_FORCE_BOUND} elements, got {n}"
         )
-    elems = tuple(range(1, n + 1))
-    positions = {e: i for i, e in enumerate(elems)}
+    e = r % _period(n)
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for img in itertools.permutations(elems):
-        table.setdefault(_power_image(img, elems, positions, r), img)
+    for img in itertools.permutations(range(1, n + 1)):
+        # (0, *img) is img on 0..n fixing 0, so its power is 1-based after [1:]
+        power = _power((0, *img), e)[1:]
+        if power not in table:
+            table[power] = img
     return table

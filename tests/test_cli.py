@@ -1,9 +1,11 @@
+import dataclasses
 import io
 import json
 
 import jsonschema
 import pytest
 
+from permroot import cli
 from permroot.cli import SCHEMAS, main
 from permroot.families import FamilySpec, enumerate_family
 from permroot.report import write_reports
@@ -165,6 +167,23 @@ class TestRoot:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: line 3: ")
 
+    @pytest.mark.parametrize("text, truth", [("(1 3)(2 4) (5 6)(7 8)", True), ("(1 2) (3 4 5)", False)])
+    def test_criterion_disagreement_exits_2(self, capsys, monkeypatch, text, truth):
+        """A wrong criterion verdict on a line small enough for the brute-force
+        witness is caught by the cross-check, as an argument or on stdin."""
+        real, target = cli.has_root_general, cli.parse(text)
+        assert real(target, 2) is truth
+        monkeypatch.setattr(
+            cli, "has_root_general", lambda sigma, r: real(sigma, r) != (sigma == target)
+        )
+        code, out, err = run_cli(capsys, "root", "--r", "2", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: criterion and brute force disagree on {target} (r=2)\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"(1)\n{text}\n"))
+        code, out, err = run_cli(capsys, "root", "--r", "2")
+        assert (code, out) == (2, "yes (1)\n")
+        assert err == f"error: line 2: criterion and brute force disagree on {target} (r=2)\n"
+
     def test_prime_power_flags(self, capsys):
         code_a, out_a, _ = run_cli(capsys, "root", "--q", "2", "--l", "2", "(1 2)(3 4)")
         code_b, out_b, _ = run_cli(capsys, "root", "--r", "4", "(1 2)(3 4)")
@@ -270,6 +289,23 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, "enumerate", "--family", "cyc", "--r", "3", "--n", "3")
         assert code == 0
         assert out.splitlines() == ["(1 2 3)", "(1 3 2)"]
+
+    def test_text_lines_stream(self, capsys, monkeypatch):
+        """Each member's line is printed before the stream yields the next one."""
+        out = io.StringIO()
+        seen_before_second = []
+
+        def stream(spec, bound):
+            yield cli.parse("(1) (2)")
+            seen_before_second.append(out.getvalue())
+            yield cli.parse("(1 2)")
+
+        family = dataclasses.replace(cli.FAMILIES["all"], stream=stream)
+        monkeypatch.setitem(cli.FAMILIES, "all", family)
+        monkeypatch.setattr("sys.stdout", out)
+        assert main(["enumerate", "--family", "all", "--n", "2"]) == 0
+        assert seen_before_second == ["(1) (2)\n"]
+        assert out.getvalue() == "(1) (2)\n(1 2)\n"
 
     def test_json_schema(self, capsys):
         code, payload, _ = run_json(

@@ -1,8 +1,16 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permroot.errors import CycleNotationError, DomainError, InvalidPermutationError
+from permroot.errors import (
+    CycleNotationError,
+    DomainError,
+    InvalidPermutationError,
+    PermrootError,
+)
 from permroot.permutation import (
     CycleType,
     EnrichedPermutation,
@@ -198,3 +206,92 @@ class TestCycleType:
             parse_cycle_type("2^2,2^1")
         with pytest.raises(CycleNotationError):
             parse_cycle_type("x^2")
+
+
+def _cycle_text(rng, cyc, color=None):
+    """One cycle at a random rotation with random inner whitespace."""
+    k = rng.randrange(len(cyc))
+    body = ""
+    for i, e in enumerate(cyc[k:] + cyc[:k]):
+        body += (rng.choice(("", " ", "  ", "\t")) if i == 0 else rng.choice((" ", "  ", "\t", "\n"))) + str(e)
+    text = "(" + body + rng.choice(("", " ", "\t")) + ")"
+    return text if color is None else f"{text}_{color}"
+
+
+def _random_cycles(rng, n):
+    """The cycles of a random permutation of n sparse positive integers, in random order."""
+    elems = rng.sample(range(1, 3 * n + 1), n)
+    cycles, start = [], 0
+    while start < n:
+        stop = min(n, start + rng.choice((1, 1, 2, 3, 4, 6, 12, n)))
+        cycles.append(tuple(elems[start:stop]))
+        start = stop
+    rng.shuffle(cycles)
+    return cycles
+
+
+def _join(rng, parts):
+    return rng.choice(("", " ", "\n")) + "".join(
+        p + rng.choice(("", " ", "  ", "\t", " \n ")) for p in parts
+    )
+
+
+def _parse_corpus():
+    """(text, r) pairs: valid plain and enriched notation with varied
+    whitespace up to 10^4 elements, and every kind of malformed input."""
+    rng = random.Random(20250917)
+    corpus = [
+        ("", None), ("", 3), ("(1)", None), ("(2 1)", None), ("(3 1 2)(5 4)", None),
+        ("  (1 2)\t(3)  ", None), ("(1\n2) ( 3 )", None), ("(01 2) (007)", None),
+        ("(1 2) (3)", None), ("(10 2 7)(1)(3 5 4 6 8 9)", None),
+        ("(1 2 4)_2 (3) (5 6)", 3), ("(3 4 5)_1 (1 2 6)_2", 3), ("(4 3)_1(2 1)_1", 2),
+    ]
+    for n in (1, 2, 3, 5, 8, 13, 40, 300, 2000, 10**4):
+        for r in (None, 2, 3, 4, 5):
+            cycles = _random_cycles(rng, n)
+            colors = [None if r is None or len(c) % r else rng.randint(1, r - 1) for c in cycles]
+            corpus.append((_join(rng, [_cycle_text(rng, c, k) for c, k in zip(cycles, colors)]), r))
+    big = _random_cycles(rng, 10**4)
+    big_text = " ".join(_cycle_text(rng, c) for c in big)
+    corpus += [
+        # a zero entry
+        ("(0)", None), ("(1 0 2)", None), ("(1 2) (0 3)", 2), ("(0 1)_1", 2),
+        (big_text + " (0)", None), ("(3 0) (1 1)", None),
+        # a repeated element
+        ("(1 1)", None), ("(1 2 1)", None), ("(1 2) (2 3)", None), ("(2 3) (1 3 2)", None),
+        ("(5 6) (1 2) (6 5)", 2), ("(1 2)_5 (1)", 2), ("(1 1)", 1),
+        (big_text + f" ({big[0][0]})", None), (big_text + f" ({big[-1][-1]})", 3),
+        # stray text between cycles
+        ("(1 2) x (3)", None), ("(1 2),(3)", None), ("() (1)", None), ("(1 2) (a) (3)", None),
+        ("x (0)", None), ("(0) x (1)", None), ("(1 2)_x (3)", 2), ("(1 2)__1", 2),
+        ("(1 2) _1", 2), ("(-1 2)", None), ("(1 2) (2 3) z (4)", None),
+        # trailing text
+        ("(1 2) x", None), ("(1 2)_", 2), ("(1 2)_a", 2), ("(1 2", None), ("(1 2))", None),
+        ("1 2)", None), ("(1,2)", None), ("()", None), ("(1 2) (0", None), (big_text + " !", None),
+        # a subscript without r
+        ("(1 2)_1", None), ("(1 2) (3 4 5)_2", None), ("(1 1)_1", None),
+        # a missing color
+        ("(1 2)", 2), ("(1 2 3)", 3), ("(1) (2 3 4 5)", 4), (big_text, 2),
+        # an extra color
+        ("(1 2)_1 (3 4 5)", 3), ("(1)_1", 2), ("(1 2 3)_1", 2),
+        # an out-of-range color
+        ("(1 2 3)_3", 3), ("(1 2 3)_0", 3), ("(1 2)_2", 2), ("(5 6) (1 2)_9", 2),
+        ("(5 6)_9 (1 2)", 2), ("(1 2)", 1), ("(1 2)", 0),
+    ]
+    return corpus
+
+
+def test_parse_outputs_unchanged():
+    """One sha256 over the result (class and str()) or the failure (class and
+    message) of parse on every corpus input, recorded before parse was
+    rewritten as a one-pass scan."""
+    records = []
+    for text, r in _parse_corpus():
+        try:
+            result = parse(text, r)
+        except PermrootError as exc:
+            records.append(f"{type(exc).__name__}: {exc}")
+        else:
+            records.append(f"{type(result).__name__} {result}")
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "5fad2228cd3c03e93c82b719b2268ffa9c3a976011725f889a17009ebf99203f"

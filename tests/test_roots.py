@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 
 import pytest
 
@@ -110,6 +112,56 @@ class TestBruteForce:
         sigma = P("(3 5) (6 9)")
         witness = find_root_bruteforce(sigma, 2)
         assert witness is not None and witness.power(2) == sigma
+
+
+def _power_table(n, r):
+    """The root table rebuilt from ``Permutation.power``: each r-th power of
+    S_n in one-line form -> its lexicographically least root."""
+    elems = range(1, n + 1)
+    table = {}
+    for img in itertools.permutations(elems):
+        power = Permutation.from_one_line(elems, img).power(r).one_line()
+        table.setdefault(power, img)
+    return table
+
+
+def _degrees(n):
+    """r = 2..12, the period lcm(1..n) of S_n, one past it, and a huge r."""
+    period = math.lcm(*range(1, n + 1))
+    return sorted({*range(2, 13), period, period + 1, 10**18 + 1})
+
+
+class TestBruteForceAgainstPowers:
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_table_matches_powers(self, n):
+        for r in _degrees(n):
+            assert list(brute_force_root_table(n, r).items()) == list(_power_table(n, r).items())
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_find_agrees_with_table(self, n):
+        elems = range(1, n + 1)
+        sparse = {e: 3 * e + 2 for e in elems}  # order-preserving relabelling
+        for r in _degrees(n):
+            if r < 2:
+                continue
+            table = _power_table(n, r)
+            for img in itertools.permutations(elems):
+                sigma = Permutation.from_one_line(elems, img)
+                root = table.get(img)
+                want = None if root is None else Permutation.from_one_line(elems, root)
+                assert find_root_bruteforce(sigma, r) == want
+                assert find_root_bruteforce(sigma.relabel(sparse), r) == (
+                    None if want is None else want.relabel(sparse)
+                )
+
+    def test_table_outputs_unchanged(self):
+        """One sha256 over every table for n <= 7 and r = 2..12, entries in
+        insertion order, recorded before the power computation was rewritten."""
+        digest = hashlib.sha256()
+        for n in range(0, 8):
+            for r in range(2, 13):
+                digest.update(repr((n, r, list(brute_force_root_table(n, r).items()))).encode())
+        assert digest.hexdigest() == "c48787b5977a930562680c745b650131bb8c62ecfe93b252c81e589dbdd6e041"
 
 
 class TestQrDivisible:
