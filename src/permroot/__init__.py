@@ -21,6 +21,7 @@ from .counting import (
     count_cyc,
     count_cyc_qr,
     count_enriched_cyc,
+    count_nreg,
     count_of_type,
     count_q_family,
     count_reg,

@@ -113,14 +113,18 @@ def _regular(cycles: Sequence[Cycle], r: int) -> bool:
     return all(len(c) % r for c in cycles)
 
 
+def _require_regular(sigma: Permutation, r: int) -> None:
+    if not _regular(sigma.cycles, r):
+        raise DomainError(f"{sigma} is not {r}-regular")
+
+
 def extract_element(sigma: Permutation, r: int) -> DeltaOutput:
     """Split an r-regular permutation of S (|S| not a multiple of r) into a
     distinguished element x and an r-regular permutation of S minus x."""
     check_modulus(r, "r")
     if sigma.size % r == 0:  # also rejects the empty permutation
         raise DomainError(f"ground-set size {sigma.size} is a multiple of r={r}")
-    if not _regular(sigma.cycles, r):
-        raise DomainError(f"{sigma} is not {r}-regular")
+    _require_regular(sigma, r)
     return DeltaOutput(sigma.cycles[0][-1], _on_stack(sigma.cycles, _chain, r, None))
 
 
@@ -134,8 +138,7 @@ def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
         raise DomainError(f"element {x} already occurs in {pi}")
     if (pi.size + 1) % r == 0:
         raise DomainError(f"resulting size {pi.size + 1} would be a multiple of r={r}")
-    if not _regular(pi.cycles, r):
-        raise DomainError(f"{pi} is not {r}-regular")
+    _require_regular(pi, r)
     return _on_stack(pi.cycles, _chain, r, x)
 
 
@@ -150,8 +153,7 @@ def extend_regular(sigma: Permutation, j: int, r: int) -> Permutation:
         raise DomainError(f"n+1={n + 1} is a multiple of r={r}")
     if not isinstance(j, int) or not 1 <= j <= n + 1:
         raise DomainError(f"j must lie in 1..{n + 1}, got {j!r}")
-    if not _regular(sigma.cycles, r):
-        raise DomainError(f"{sigma} is not {r}-regular")
+    _require_regular(sigma, r)
     labels = [e for e in range(1, n + 2) if e != j]
     relabeled = sigma.relabel({i + 1: lab for i, lab in enumerate(labels)})
     return _on_stack(relabeled.cycles, _chain, r, j)
@@ -200,8 +202,7 @@ def to_nearly_regular(sigma: Permutation, r: int) -> EnrichedPermutation:
         raise DomainError("the empty permutation has no first cycle to grow")
     if sigma.size % r != 0:
         raise DomainError(f"ground-set size {sigma.size} is not a multiple of r={r}")
-    if not _regular(sigma.cycles, r):
-        raise DomainError(f"{sigma} is not {r}-regular")
+    _require_regular(sigma, r)
     color = len(sigma.cycles[0]) % r
     base = _on_stack(sigma.cycles, _grow, r, r - color)
     return EnrichedPermutation(base, r, (color,) + (None,) * (len(base.cycles) - 1))
@@ -239,8 +240,7 @@ def to_enriched_cycles(sigma: Permutation, r: int) -> EnrichedPermutation:
     check_modulus(r, "r")
     if sigma.size % r != 0:
         raise DomainError(f"ground-set size {sigma.size} is not a multiple of r={r}")
-    if not _regular(sigma.cycles, r):
-        raise DomainError(f"{sigma} is not {r}-regular")
+    _require_regular(sigma, r)
     stack = list(reversed(sigma.cycles))
     cycles, colors = [], []
     while stack:

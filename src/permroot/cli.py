@@ -185,6 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser("map", parents=[common], help="apply one of the bijections")
+    p_map.set_defaults(handler=_cmd_map)
     p_map.add_argument("name", choices=MAPS)
     p_map.add_argument("perm", nargs="?", help="cycle notation; omit to read lines from stdin")
     p_map.add_argument("--r", type=int, required=True)
@@ -192,25 +193,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--j", type=int, help="new label (psi)")
 
     p_root = sub.add_parser("root", parents=[common], help="r-th-root existence and witness")
+    p_root.set_defaults(handler=_cmd_root)
     p_root.add_argument("perm", nargs="?")
     p_root.add_argument("--r", type=int)
     p_root.add_argument("--q", type=int, help="prime base (alternative to --r)")
     p_root.add_argument("--l", type=int, default=1, help="exponent for --q")
 
     p_count = sub.add_parser("count", parents=[common], help="exact family counts")
+    p_count.set_defaults(handler=_cmd_count)
     _family_arguments(p_count)
     p_count.add_argument(
         "--method", choices=("formula", "recurrence", "enumerate", "all"), default=None
     )
 
     p_prob = sub.add_parser("prob", parents=[common], help="probability of an r-th root")
+    p_prob.set_defaults(handler=_cmd_prob)
     p_prob.add_argument("--r", type=int, required=True)
     p_prob.add_argument("--n", type=int, required=True)
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="stream a family")
+    p_enum.set_defaults(handler=_cmd_enumerate)
     _family_arguments(p_enum)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--suite", action="append", help="suite id (repeatable)")
     p_verify.add_argument("--all", action="store_true", help="run every suite")
     p_verify.add_argument("--list", action="store_true", help="list suite ids")
@@ -221,6 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--golden", help="compare the report against a golden file")
 
     p_oeis = sub.add_parser("oeis", parents=[common], help="fetch and cross-check OEIS b-files")
+    p_oeis.set_defaults(handler=_cmd_oeis)
     p_oeis.add_argument("oeis_id")
     p_oeis.add_argument("--source", choices=oeis.SOURCES, default="fixture")
     p_oeis.add_argument("--offline", action="store_true", help="forbid network access")
@@ -349,9 +356,9 @@ FAMILIES = {
         (_R,), FamilySpec.cycle, {"formula": lambda **p: cnt.count_enriched_cyc(**p)},
         stream=lambda spec, bound: enumerate_enriched_cycles(spec.r, spec.n, bound),
     ),
-    "nreg": _Family((_R,), FamilySpec.nearly_regular, {
-        "formula": lambda r, n: sum(cnt.count_q_family(r, k, n) for k in range(r, n + 1, r)),
-    }),
+    "nreg": _Family(
+        (_R,), FamilySpec.nearly_regular, {"formula": lambda **p: cnt.count_nreg(**p)}
+    ),
     "q": _Family(
         (_R, _K), FamilySpec.first_cycle, {"formula": lambda **p: cnt.count_q_family(**p)}
     ),
@@ -478,12 +485,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILURE
 
 
-_OEIS_GENERATORS = {
-    "A247005": ("count_roots(2, n)", lambda n: cnt.count_roots(2, n)),
-    "A001818": ("count_reg(2, 2n)", lambda n: cnt.count_reg(2, 2 * n)),
-}
-
-
 def _cmd_oeis(args) -> int:
     if args.offline and args.source == "network":
         raise PermrootError("--offline forbids --source network")
@@ -491,10 +492,10 @@ def _cmd_oeis(args) -> int:
     check_payload = None
     status = EXIT_OK
     text_lines = []
-    if args.fetch_only or args.oeis_id not in _OEIS_GENERATORS:
+    if args.fetch_only or args.oeis_id not in oeis.GENERATORS:
         text_lines = [f"{i} {v}" for i, v in seq.terms]
     else:
-        label, generator = _OEIS_GENERATORS[args.oeis_id]
+        label, generator = oeis.GENERATORS[args.oeis_id]
         upto = args.upto if args.upto is not None else seq.max_index
         report = oeis.cross_check(seq, generator, upto)
         check_payload = report.to_json_dict()
@@ -527,17 +528,8 @@ def main(argv=None) -> int:
             args.perm = extras[0]
         else:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    handler = {
-        "map": _cmd_map,
-        "root": _cmd_root,
-        "count": _cmd_count,
-        "prob": _cmd_prob,
-        "enumerate": _cmd_enumerate,
-        "verify": _cmd_verify,
-        "oeis": _cmd_oeis,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except PermrootError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

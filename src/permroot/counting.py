@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .errors import DomainError, check_modulus
-from .families import DEFAULT_ENUMERATION_BOUND, FamilySpec, enumerate_family
+from .errors import DomainError, check_modulus, check_size
+from .families import FamilySpec, enumerate_family
 from .permutation import CycleType
 from .roots import smallest_bunch_size
 
@@ -66,8 +66,7 @@ def _exact_div(a: int, b: int) -> int:
 
 def _check_params(r: int, n: int) -> None:
     check_modulus(r, "r")
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    check_size(n)
 
 
 def _check_method(method: str) -> None:
@@ -75,22 +74,13 @@ def _check_method(method: str) -> None:
         raise DomainError(f"unknown method {method!r}; options: {', '.join(_METHODS)}")
 
 
-def _enumerated_count(spec: FamilySpec, bound: int) -> int:
-    return sum(1 for _ in enumerate_family(spec, bound))
-
-
-def count_reg(
-    r: int,
-    n: int,
-    method: str = "formula",
-    bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> int:
+def count_reg(r: int, n: int, method: str = "formula") -> int:
     """|Reg_r(n)|, the number of permutations of [n] with no cycle length
     divisible by r; 1 for n = 0."""
     _check_params(r, n)
     _check_method(method)
     if method == "enumerate":
-        return _enumerated_count(FamilySpec.regular(r, n), bound)
+        return sum(1 for _ in enumerate_family(FamilySpec.regular(r, n)))
     if method == "recurrence":
         return _reg_recurrence(r, n)
     m = n // r
@@ -113,18 +103,13 @@ def _reg_recurrence(r: int, n: int) -> int:
     return value
 
 
-def count_cyc(
-    r: int,
-    n: int,
-    method: str = "formula",
-    bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> int:
+def count_cyc(r: int, n: int, method: str = "formula") -> int:
     """|Cyc_r(n)|, the number of permutations of [n] with every cycle length
     divisible by r; zero unless r divides n, and 1 for n = 0."""
     _check_params(r, n)
     _check_method(method)
     if method == "enumerate":
-        return _enumerated_count(FamilySpec.cycle(r, n), bound)
+        return sum(1 for _ in enumerate_family(FamilySpec.cycle(r, n)))
     if n % r != 0:
         return 0
     m = n // r
@@ -241,6 +226,13 @@ def count_q_family(r: int, k: int, n: int) -> int:
     return falling_factorial(n - 1, k - 1) * count_reg(r, n - k)
 
 
+def count_nreg(r: int, n: int) -> int:
+    """|NReg_r(n)|: permutations of [n] whose cycle containing 1 is the only
+    one with length divisible by r; the sum of |Q_{r,k}(n)| over those k."""
+    _check_params(r, n)
+    return sum(count_q_family(r, k, n) for k in range(r, n + 1, r))
+
+
 def count_AP(n: int, k: int, parity: str) -> int:
     """|A_{n,2k-1}| (parity "odd": all cycles odd, 1 in a (2k-1)-cycle) or
     |P_{n,2k}| (parity "even": 1 in a 2k-cycle, all other cycles odd)."""
@@ -261,8 +253,7 @@ def count_S_rho_q(rho: CycleType, q: int, n: int) -> int:
     """|S_{rho,q}(n)|: permutations of [n] whose q-singular part has cycle
     type rho; the q-regular remainder is free."""
     check_modulus(q, "q")
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    check_size(n)
     if any(ln % q != 0 for ln in rho.lengths()):
         raise DomainError(f"type {rho} contains a q-regular length (q={q})")
     if rho.total > n:

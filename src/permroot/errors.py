@@ -35,3 +35,9 @@ def check_modulus(value, name: str) -> None:
     """Raise DomainError unless ``value`` is an integer >= 2."""
     if not isinstance(value, int) or value < 2:
         raise DomainError(f"{name} must be an integer >= 2, got {value!r}")
+
+
+def check_size(n) -> None:
+    """Raise DomainError unless ``n`` is an integer >= 0."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"n must be a nonnegative integer, got {n!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import roots
-from .errors import DomainError, EnumerationBoundError, check_modulus
+from .errors import DomainError, EnumerationBoundError, check_modulus, check_size
 from .permutation import CycleType, EnrichedPermutation, Permutation
 
 DEFAULT_ENUMERATION_BOUND = 10
@@ -44,8 +44,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.tag not in _FAMILIES:
             raise DomainError(f"unknown family tag {self.tag!r}")
-        if not isinstance(self.n, int) or self.n < 0:
-            raise DomainError(f"n must be a nonnegative integer, got {self.n!r}")
+        check_size(self.n)
         params, _ = _FAMILIES[self.tag]
         for name in params:  # in the order listed: cyc-qr checks q before r
             if name in ("r", "q"):
@@ -112,19 +111,26 @@ class FamilySpec:
         return cls("all", n)
 
 
+def _regular(ls, r: int) -> bool:
+    """No length divisible by r."""
+    return all(ln % r for ln in ls)
+
+
+def _nearly_regular(ls, r: int) -> bool:
+    """Only the first length is divisible by r; false for no lengths."""
+    return ls[:1] != () and ls[0] % r == 0 and _regular(ls[1:], r)
+
+
 # tag -> (the parameters the family needs, its membership test on the canonical
 # cycle lengths ls of a permutation and the spec s; ls[0] is the cycle of 1).
 # A test may read only ls[0] and the multiset of ls: enumerate_family calls it
 # with ls[1:] sorted, not in cycle order.
 _FAMILIES = {
-    "reg": (("r",), lambda ls, s: all(ln % s.r for ln in ls)),  # no length divisible by r
+    "reg": (("r",), lambda ls, s: _regular(ls, s.r)),
     "cyc": (("r",), lambda ls, s: not any(ln % s.r for ln in ls)),  # all lengths divisible by r
-    # only the cycle of 1 is singular
-    "nreg": (
-        ("r",), lambda ls, s: ls[:1] != () and ls[0] % s.r == 0 and all(ln % s.r for ln in ls[1:])
-    ),
+    "nreg": (("r",), lambda ls, s: _nearly_regular(ls, s.r)),
     # the cycle of 1 has length k, every other cycle is regular
-    "q": (("r", "k"), lambda ls, s: ls[:1] == (s.k,) and all(ln % s.r for ln in ls[1:])),
+    "q": (("r", "k"), lambda ls, s: ls[:1] == (s.k,) and _regular(ls[1:], s.r)),
     # lengths multiples of q, each length occurring a multiple of r times
     "cyc-qr": (
         ("q", "r"), lambda ls, s: all(ln % s.q == 0 and ls.count(ln) % s.r == 0 for ln in ls)
@@ -144,15 +150,14 @@ _FAMILIES = {
 
 def is_regular(p: Permutation, r: int) -> bool:
     check_modulus(r, "r")
-    return all(len(c) % r != 0 for c in p.cycles)
+    return _regular(p.cycle_lengths(), r)
 
 
 def is_nearly_regular(p: Permutation, r: int) -> bool:
     """Every cycle regular except the one containing the ground-set minimum,
     which is singular.  False for the empty permutation."""
     check_modulus(r, "r")
-    lengths = p.cycle_lengths()
-    return lengths[:1] != () and lengths[0] % r == 0 and all(ln % r for ln in lengths[1:])
+    return _nearly_regular(p.cycle_lengths(), r)
 
 
 def classify(p: Permutation, spec: FamilySpec) -> bool:
@@ -312,14 +317,12 @@ def enumerate_family(
                 yield Permutation._from_canonical(_cycles_of_one_line(prefix + tail))
 
 
-def enumerate_regular_on(
-    elements, r: int, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Iterator[Permutation]:
+def enumerate_regular_on(elements, r: int) -> Iterator[Permutation]:
     """r-regular permutations of an arbitrary ground set, by order-preserving
     relabeling of the enumeration over [n]."""
     elems = sorted(set(elements))
     relabel = {i + 1: e for i, e in enumerate(elems)}
-    for p in enumerate_family(FamilySpec.regular(r, len(elems)), bound):
+    for p in enumerate_family(FamilySpec.regular(r, len(elems))):
         yield p.relabel(relabel) if elems != list(range(1, len(elems) + 1)) else p
 
 
@@ -338,8 +341,6 @@ def enumerate_enriched_cycles(
         yield from _colorings(base, r)
 
 
-def enumerate_enriched_nearly_regular(
-    r: int, n: int, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Iterator[EnrichedPermutation]:
-    for base in enumerate_family(FamilySpec.nearly_regular(r, n), bound):
+def enumerate_enriched_nearly_regular(r: int, n: int) -> Iterator[EnrichedPermutation]:
+    for base in enumerate_family(FamilySpec.nearly_regular(r, n)):
         yield from _colorings(base, r)

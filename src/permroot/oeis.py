@@ -19,11 +19,20 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
+from . import counting
 from .errors import DomainError, SequenceLookupError
 from .report import VerificationReport, run_property
 
 CACHE_DIR_ENV = "PERMROOT_CACHE_DIR"
 SOURCES = ("fixture", "cache", "network")
+
+# OEIS id -> (label, the generator its terms are cross-checked against); each
+# generator looks its count up in ``counting`` per call, so the benchmark
+# tracer's rebinding of that name is seen
+GENERATORS: dict[str, tuple[str, Callable[[int], int]]] = {
+    "A247005": ("count_roots(2, n)", lambda n: counting.count_roots(2, n)),
+    "A001818": ("count_reg(2, 2n)", lambda n: counting.count_reg(2, 2 * n)),
+}
 
 _ID_RE = re.compile(r"A\d{6}")
 
@@ -172,6 +181,10 @@ def cross_check(
     if upto > seq.max_index:
         raise DomainError(
             f"{seq.oeis_id} has terms up to index {seq.max_index}, requested {upto}"
+        )
+    if seq.terms and upto < seq.terms[0][0]:
+        raise DomainError(
+            f"{seq.oeis_id} has terms from index {seq.terms[0][0]}, requested {upto}"
         )
 
     def check():

@@ -18,7 +18,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .errors import CycleNotationError, DomainError, InvalidPermutationError
+from .errors import CycleNotationError, DomainError, InvalidPermutationError, check_modulus
 
 Cycle = tuple[int, ...]
 
@@ -113,10 +113,6 @@ class Permutation:
     def ground_set(self) -> frozenset[int]:
         return frozenset(e for c in self._cycles for e in c)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(len(c) == 1 for c in self._cycles)
-
     def mapping(self) -> dict[int, int]:
         m: dict[int, int] = {}
         for c in self._cycles:
@@ -172,8 +168,7 @@ class Permutation:
     def split_parts(self, q: int) -> tuple["Permutation", "Permutation"]:
         """Split into the q-regular part (cycle lengths not divisible by q)
         and the q-singular part (lengths divisible by q)."""
-        if not isinstance(q, int) or q < 2:
-            raise DomainError(f"modulus must be an integer >= 2, got {q!r}")
+        check_modulus(q, "modulus")
         regular = tuple(c for c in self._cycles if len(c) % q != 0)
         singular = tuple(c for c in self._cycles if len(c) % q == 0)
         return Permutation._from_canonical(regular), Permutation._from_canonical(singular)

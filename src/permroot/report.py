@@ -88,15 +88,19 @@ def _strip_wall_time(obj):
     return obj
 
 
-def normalize_report_bytes(text: str) -> bytes:
-    """Canonical byte form used for golden comparison."""
+def _stripped(text: str):
+    """Report JSON text parsed, with wall_time stripped."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"not valid report JSON: {exc}") from exc
-    return json.dumps(
-        _strip_wall_time(data), sort_keys=True, separators=(",", ":")
-    ).encode()
+    return _strip_wall_time(data)
+
+
+def normalize_report_bytes(text: str) -> bytes:
+    """Canonical byte form of report JSON: sorted keys, compact separators,
+    wall_time stripped."""
+    return json.dumps(_stripped(text), sort_keys=True, separators=(",", ":")).encode()
 
 
 def _first_difference(a, b, path="$") -> str | None:
@@ -129,14 +133,9 @@ def golden_diff(report_path, golden_path) -> str | None:
         left = fh.read()
     with open(golden_path, encoding="utf-8") as fh:
         right = fh.read()
-    a, b = normalize_report_bytes(left), normalize_report_bytes(right)
-    if a == b:
-        return None
-    return _first_difference(
-        _strip_wall_time(json.loads(left)), _strip_wall_time(json.loads(right))
-    ) or "$: files differ"
+    return _first_difference(_stripped(left), _stripped(right))
 
 
 def golden_compare(report_path, golden_path) -> bool:
-    """Byte-level equality of normalized report JSON."""
+    """Equality of the two reports with wall_time stripped."""
     return golden_diff(report_path, golden_path) is None

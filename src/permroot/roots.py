@@ -139,6 +139,13 @@ def _power(img: tuple[int, ...], e: int) -> tuple[int, ...]:
         img = itemgetter(*img)(img)
 
 
+def _check_brute_force_size(n: int) -> None:
+    if n > BRUTE_FORCE_BOUND:
+        raise DomainError(
+            f"brute-force search is limited to {BRUTE_FORCE_BOUND} elements, got {n}"
+        )
+
+
 def _period(n: int) -> int:
     """lcm(1..n): pi**r == pi**(r % lcm(1..n)) for every pi in S_n."""
     return lcm(*range(1, n + 1))
@@ -153,10 +160,7 @@ def find_root_bruteforce(sigma: Permutation, r: int) -> Permutation | None:
     rejected after one walk of that element's cycle, before its full power
     is built."""
     check_modulus(r, "root degree")
-    if sigma.size > BRUTE_FORCE_BOUND:
-        raise DomainError(
-            f"brute-force search is limited to {BRUTE_FORCE_BOUND} elements, got {sigma.size}"
-        )
+    _check_brute_force_size(sigma.size)
     elems = sigma.elements()
     if not elems:
         return sigma  # S_0 holds only the empty permutation, its own r-th power
@@ -180,10 +184,7 @@ def find_root_bruteforce(sigma: Permutation, r: int) -> Permutation | None:
 def brute_force_root_table(n: int, r: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """One pass over S_n: map each one-line permutation with an r-th root to
     its lexicographically least root (also in one-line form)."""
-    if n > BRUTE_FORCE_BOUND:
-        raise DomainError(
-            f"brute-force search is limited to {BRUTE_FORCE_BOUND} elements, got {n}"
-        )
+    _check_brute_force_size(n)
     e = r % _period(n)
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
     for img in itertools.permutations(range(1, n + 1)):

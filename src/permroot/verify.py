@@ -83,15 +83,15 @@ REFERENCE_PROBABILITIES_PRIME_POWER = {
 
 # -- shared scan helpers -------------------------------------------------------
 
+def _q_family(r: int, k: int, n: int):
+    """The stream of Q_{r,k}(n): first cycle of length k, all other cycles
+    r-regular."""
+    return enumerate_family(FamilySpec.first_cycle(r, k, n), bound=max(n, 10))
+
+
 def _q_buckets(r: int, n: int) -> dict[int, list[Permutation]]:
-    """One pass over S_n collecting every Q_{r,k}(n) bucket: first cycle of
-    length k, all other cycles r-regular."""
-    buckets: dict[int, list[Permutation]] = {}
-    for p in enumerate_family(FamilySpec.everything(n), bound=max(n, 10)):
-        lengths = p.cycle_lengths()
-        if all(ln % r != 0 for ln in lengths[1:]):
-            buckets.setdefault(lengths[0], []).append(p)
-    return buckets
+    """k -> the members of Q_{r,k}(n), for k = 1..n."""
+    return {k: list(_q_family(r, k, n)) for k in range(1, n + 1)}
 
 
 def _partitions(total: int):
@@ -341,7 +341,7 @@ def _grow_shrink_roundtrip(bounds):
                     if bij.shrink_first_cycle(pi, r) != sigma:
                         return checked, f"shrink(grow({sigma})) != original (r={r})"
                     image.add(pi)
-                expected = len(buckets.get(k + 1, ()))
+                expected = len(buckets[k + 1])
                 if len(image) != len(members) or len(members) != expected:
                     return checked, (
                         f"r={r} n={n} k={k}: |Q_k|={len(members)} but "
@@ -373,9 +373,7 @@ def _nearly_regular_roundtrip(bounds):
             if bij.from_nearly_regular(tau) != sigma:
                 return checked, f"nearly-regular round trip broke on {sigma} (r={r})"
             image.add(str(tau))
-        expected = (r - 1) * sum(
-            cnt.count_q_family(r, k, rn) for k in range(r, rn + 1, r)
-        )
+        expected = (r - 1) * cnt.count_nreg(r, rn)
         if len(image) != expected:
             return checked, (
                 f"r={r} rn={rn}: image size {len(image)} != |NReg*|={expected}"
@@ -685,11 +683,10 @@ def _q_family_counts(bounds):
     checked = 0
     for r in (2, 3, 4):
         for n in range(1, n_max + 1):
-            buckets = _q_buckets(r, n)
             for k in range(1, n + 1):
                 checked += 1
                 formula = cnt.count_q_family(r, k, n)
-                enumerated = len(buckets.get(k, ()))
+                enumerated = sum(1 for _ in _q_family(r, k, n))
                 if formula != enumerated:
                     return checked, (
                         f"|Q_{r},{k}({n})| formula={formula} enumerated={enumerated}"
@@ -711,16 +708,15 @@ def _odd_even_family_counts(bounds):
     n_max = bounds["n_max"]
     checked = 0
     for n in range(2, n_max + 1):
-        # odd first-cycle lengths key A_{n,2k-1}, even ones P_{n,2k}
-        buckets = _q_buckets(2, n)
+        # A_{n,2k-1} = Q_{2,2k-1}(n) and P_{n,2k} = Q_{2,2k}(n)
         for k in range(1, n // 2 + 2):
             if 2 * k - 1 <= n:
                 checked += 1
-                if cnt.count_AP(n, k, "odd") != len(buckets.get(2 * k - 1, ())):
+                if cnt.count_AP(n, k, "odd") != sum(1 for _ in _q_family(2, 2 * k - 1, n)):
                     return checked, f"|A_({n},{2 * k - 1})| mismatch"
             if 2 * k <= n:
                 checked += 1
-                if cnt.count_AP(n, k, "even") != len(buckets.get(2 * k, ())):
+                if cnt.count_AP(n, k, "even") != sum(1 for _ in _q_family(2, 2 * k, n)):
                     return checked, f"|P_({n},{2 * k})| mismatch"
     # formula-level equalities between neighbours
     for big_n in range(2, bounds["formula_n_max"] + 1):
@@ -1017,27 +1013,23 @@ _table_property("tables/prime-power-probabilities", REFERENCE_PROBABILITIES_PRIM
 
 # -- oeis suite -------------------------------------------------------------------
 
-def _sequence_check(bounds, generator):
-    """``oeis.cross_check`` of the vendored b-file against ``generator``."""
+def _sequence_check(bounds):
+    """``oeis.cross_check`` of the vendored b-file against its generator in
+    ``oeis.GENERATORS``."""
     seq = oeis.fetch(bounds["oeis_id"], source="fixture")
+    _, generator = oeis.GENERATORS[bounds["oeis_id"]]
     report = oeis.cross_check(seq, generator, bounds["upto"])
     return report.counts_checked, report.counterexample
 
 
-@prop(
+prop(
     "oeis", "oeis/square-permutation-sequence",
     oeis_id="A247005", upto=("square_upto", 12),
-)
-def _square_permutation_sequence(bounds):
-    return _sequence_check(bounds, lambda n: cnt.count_roots(2, n))
-
-
-@prop(
+)(_sequence_check)
+prop(
     "oeis", "oeis/odd-cycle-square-sequence",
     oeis_id="A001818", upto=("double_factorial_upto", 10),
-)
-def _odd_cycle_square_sequence(bounds):
-    return _sequence_check(bounds, lambda n: cnt.count_reg(2, 2 * n))
+)(_sequence_check)
 
 
 @prop("oeis", "oeis/cache-roundtrip")
@@ -1046,7 +1038,7 @@ def _cache_roundtrip(bounds):
 
     checked = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for oeis_id in ("A247005", "A001818"):
+        for oeis_id in oeis.GENERATORS:
             oeis.prime_cache_from_fixture(oeis_id, cache_dir=tmp)
             checked += 1
             if oeis.fetch(oeis_id, source="cache", cache_dir=tmp) != oeis.fetch(

@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -16,6 +19,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# each "permroot ...  # -> out" line of the README's CLI block: (argv, out)
+README_EXAMPLES = [
+    pytest.param(shlex.split(m[1]), m[2], id=m[1])
+    for m in re.finditer(
+        r"^permroot (.*?)\s+# -> (.*)$",
+        (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8"),
+        re.MULTILINE,
+    )
+]
 
 
 def run_json(capsys, *argv):
@@ -455,6 +469,11 @@ class TestOeis:
         jsonschema.validate(payload, SCHEMAS["oeis"])
         assert payload["check"]["status"] == "pass"
 
+    def test_upto_below_first_index_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "oeis", "A247005", "--upto", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: A247005 has terms from index 0, requested -1\n"
+
     def test_fetch_only(self, capsys):
         code, out, _ = run_cli(capsys, "oeis", "A001818", "--fetch-only")
         assert code == 0
@@ -474,6 +493,17 @@ class TestOeis:
         )
         assert code == 1
         assert "FAIL" in out
+
+
+def test_readme_examples_found():
+    assert len(README_EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize("argv, first_line", README_EXAMPLES)
+def test_readme_example(capsys, argv, first_line):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == first_line
 
 
 class TestUsageErrors:

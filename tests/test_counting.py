@@ -10,6 +10,7 @@ from permroot.counting import (
     count_cyc,
     count_cyc_qr,
     count_enriched_cyc,
+    count_nreg,
     count_of_type,
     count_q_family,
     count_reg,
@@ -165,6 +166,19 @@ class TestFirstCycleFamilies:
             FamilySpec.first_cycle(2, 5, 4)
         with pytest.raises(DomainError, match=r"k must lie in 1\.\.4, got 0"):
             count_q_family(2, 0, 4)
+
+
+class TestNearlyRegular:
+    def test_matches_enumeration(self):
+        for r in (2, 3, 4):
+            for n in range(9):
+                members = sum(1 for _ in enumerate_family(FamilySpec.nearly_regular(r, n)))
+                assert count_nreg(r, n) == members
+
+    @pytest.mark.parametrize("r, n", [(1, 4), (2, -1)])
+    def test_domain(self, r, n):
+        with pytest.raises(DomainError):
+            count_nreg(r, n)
 
 
 class TestOddEvenFamilies:

@@ -57,6 +57,15 @@ class TestClassify:
         assert classify(parse("(1 2 3 4 6) (5 10 8) (7) (9)"), FamilySpec.odd_with_first(10, 3))
         assert classify(parse("(1 2 3 4 6 8) (5) (7 9 10)"), FamilySpec.even_first(10, 3))
 
+    def test_predicates_agree_with_classify(self):
+        for n in range(7):
+            reg = {r: FamilySpec.regular(r, n) for r in (2, 3, 4)}
+            nreg = {r: FamilySpec.nearly_regular(r, n) for r in (2, 3, 4)}
+            for p in enumerate_family(FamilySpec.everything(n)):
+                for r in (2, 3, 4):
+                    assert is_regular(p, r) == classify(p, reg[r])
+                    assert is_nearly_regular(p, r) == classify(p, nreg[r])
+
     def test_rho_with_regular_length_rejected(self):
         with pytest.raises(DomainError):
             FamilySpec.singular_type(parse_cycle_type("3"), 2, 5)

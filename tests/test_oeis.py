@@ -1,11 +1,13 @@
 import os
 import urllib.request
+from importlib import resources
 
 import pytest
 
 from permroot.counting import count_reg, count_roots
 from permroot.errors import DomainError, SequenceLookupError
 from permroot.oeis import (
+    GENERATORS,
     SequenceRef,
     _parse_bfile,
     cross_check,
@@ -133,3 +135,20 @@ class TestCrossCheck:
         seq = SequenceRef("A000001", ((0, 1), (1, 2)))
         with pytest.raises(DomainError):
             cross_check(seq, lambda n: 1, 5)
+
+    def test_upto_below_first_index(self):
+        seq = SequenceRef("A000001", ((1, 1), (2, 2)))
+        with pytest.raises(DomainError, match="A000001 has terms from index 1, requested 0"):
+            cross_check(seq, lambda n: n, 0)
+
+    def test_every_vendored_bfile_has_a_passing_generator(self):
+        names = [f.name for f in (resources.files("permroot") / "data").iterdir()]
+        bfiles = sorted(name for name in names if name.endswith(".txt"))
+        assert bfiles
+        for name in bfiles:
+            oeis_id = "A" + name[1:-len(".txt")]
+            seq = fetch(oeis_id, source="fixture")
+            _, generator = GENERATORS[oeis_id]
+            report = cross_check(seq, generator, seq.max_index)
+            assert report.passed, report.counterexample
+            assert report.counts_checked == len(seq.terms)
