@@ -1,6 +1,8 @@
 """permroot: cycle-structure bijections, exact root-existence counting, and
 exhaustive verification for permutations of finite sets."""
 
+import importlib
+
 from .bijections import (
     ColoredFirstCycle,
     DeltaOutput,
@@ -69,6 +71,14 @@ from .roots import (
     is_qr_divisible,
     prime_power_decomposition,
 )
-from .verify import run_suite, run_suites, suite_ids
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # verify, and concurrent.futures with it, loads on first use; import_module
+    # does not come back here, where "from . import verify" would recurse
+    if name in ("verify", "run_suite", "run_suites", "suite_ids"):
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

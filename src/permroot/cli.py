@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Callable, Iterable
 
@@ -30,7 +31,6 @@ from .families import (
 from .permutation import parse, parse_cycle_type
 from .report import golden_diff, write_reports
 from .roots import BRUTE_FORCE_BOUND, find_root_bruteforce, has_root_general
-from .verify import run_suites, suite_ids
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -175,6 +175,9 @@ SCHEMAS = {
 }
 
 
+# built on the first main() call and reused; each handler looks its names up
+# when it runs, so a rebinding after the build is still seen
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permroot",
@@ -196,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_root.set_defaults(handler=_cmd_root)
     p_root.add_argument("perm", nargs="?")
     p_root.add_argument("--r", type=int)
-    p_root.add_argument("--q", type=int, help="prime base (alternative to --r)")
+    p_root.add_argument("--q", type=int, help="base of the root degree q**l (alternative to --r)")
     p_root.add_argument("--l", type=int, default=1, help="exponent for --q")
 
     p_count = sub.add_parser("count", parents=[common], help="exact family counts")
@@ -290,9 +293,24 @@ def _cmd_map(args) -> int:
     return _each_input(args, answer)
 
 
+# q**l has at most l * q.bit_length() bits; a larger degree is refused before
+# the power is taken
+MAX_DEGREE_BITS = 4096
+
+
 def _degree(args) -> int | None:
     """--r, or else --q to the power --l."""
-    return args.r if args.r is not None or args.q is None else args.q**args.l
+    if args.r is not None or args.q is None:
+        return args.r
+    check_modulus(args.q, "q")
+    if args.l < 1:
+        raise DomainError(f"l must be an integer >= 1, got {args.l}")
+    bits = args.l * args.q.bit_length()
+    if bits > MAX_DEGREE_BITS:
+        raise DomainError(
+            f"q**l is bounded by {MAX_DEGREE_BITS} bits, got l * bit_length(q) = {bits}"
+        )
+    return args.q**args.l
 
 
 def _cmd_root(args) -> int:
@@ -446,6 +464,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # verify, and the process pool with it, loads only when a suite runs
+    from .verify import run_suites, suite_ids
+
     if args.jobs < 1:
         raise DomainError("parallelism must be at least 1")
     if args.list:
@@ -515,24 +536,33 @@ def _cmd_oeis(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    # argparse does not match a trailing positional once flags intervene
-    # ("map Phi --r 3 '(1 2)'"), so recover it from the leftovers
-    args, extras = parser.parse_known_args(argv)
-    if extras:
-        if (
-            getattr(args, "perm", "absent") is None
-            and len(extras) == 1
-            and not extras[0].startswith("-")
-        ):
-            args.perm = extras[0]
-        else:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    # exact counts and cycle entries may have more digits than int <-> str
+    # allows by default (4,300 since Python 3.11); lift that for this call
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
-    except PermrootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        parser = _build_parser()
+        # argparse does not match a trailing positional once flags intervene
+        # ("map Phi --r 3 '(1 2)'"), so recover it from the leftovers
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            if (
+                getattr(args, "perm", "absent") is None
+                and len(extras) == 1
+                and not extras[0].startswith("-")
+            ):
+                args.perm = extras[0]
+            else:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        try:
+            return args.handler(args)
+        except PermrootError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

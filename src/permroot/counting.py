@@ -155,7 +155,9 @@ def _type_dp(n: int, length_specs) -> list[int]:
     free = []
     bunched = []
     for length, step, weight in length_specs:
-        if length <= n:
+        # a spec whose smallest bunch does not fit in n cannot contribute;
+        # dropping it here also keeps a huge step out of length**step
+        if step * length <= n:
             (free if step == 1 else bunched).append((length, step, weight))
     free.sort()
     scaled = [0] * (n + 1)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -129,6 +128,8 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _network_text(oeis_id: str, cache_dir, timeout: float) -> str:
+    import urllib.request  # ssl and http load only when the network is asked for
+
     url = f"https://oeis.org/{oeis_id}/{_bfile_name(oeis_id)}"
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:

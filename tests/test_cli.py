@@ -1,8 +1,11 @@
 import dataclasses
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -203,6 +206,18 @@ class TestRoot:
         code_b, out_b, _ = run_cli(capsys, "root", "--r", "4", "(1 2)(3 4)")
         assert code_a == code_b == 0
         assert out_a == out_b == "no\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--q", "2", "--l", "-1"), "l must be an integer >= 1, got -1"),
+        (("--q", "2", "--l", "0"), "l must be an integer >= 1, got 0"),
+        (("--q", "-2", "--l", "2"), "q must be an integer >= 2, got -2"),
+        (("--q", "4", "--l", "1000000000000"),
+         f"q**l is bounded by {cli.MAX_DEGREE_BITS} bits, got l * bit_length(q) = 3000000000000"),
+    ])
+    def test_bad_prime_power_flags_exit_2(self, capsys, flags, message):
+        for command in (("root", "(1 2)"), ("count", "--family", "roots", "--n", "3")):
+            code, out, err = run_cli(capsys, *command, *flags)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_json_schema(self, capsys):
         code, payload, _ = run_json(capsys, "root", "--r", "2", "(1 2 3 4)(5 6 7 8)")
@@ -516,3 +531,87 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def permroot_subprocess(*args, code=None, timeout=10):
+    """Run ``permroot ARGS`` (or ``python -c CODE``) on this checkout in a
+    fresh interpreter, failing the test if it outlives ``timeout``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = ["-c", code] if code is not None else ["-m", "permroot.cli", *args]
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+class TestCallCost:
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys):
+        """Calls in one process share one parser, and each answers as a call
+        with its own parser would: no --suite list or flag carries over."""
+        calls = [
+            ["verify", "--suite", "tables"],
+            ["verify", "--suite", "oeis"],
+            ["map", "Phi", "--r", "3", "(1 2) (3 4) (5 6)"],
+            ["root", "--q", "2", "--l", "2", "--format", "json", "(1 2)(3 4)"],
+            ["root", "(1 2)(3 4)"],
+            ["map", "delta", "--r", "3", "--bogus", "(1 2)"],
+            ["--help"],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        cli._build_parser.cache_clear()
+        reused = [call(argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(call(argv))
+        assert reused == fresh
+        assert reused[1][1].count("PASS") == 3 and "tables" not in reused[1][1]
+
+    def test_verify_and_network_load_on_use(self):
+        done = permroot_subprocess(code="""
+import sys
+lazy = ("permroot.verify", "concurrent.futures", "urllib.request")
+import permroot
+print(*[m for m in lazy if m in sys.modules])
+from permroot import cli
+cli.main(["root", "(1 2)", "--r", "2"])
+print(*[m for m in lazy if m in sys.modules])
+print(permroot.run_suites.__module__, len(permroot.suite_ids()), permroot.verify.__name__)
+""")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["", "no", "", "permroot.verify 9 permroot.verify"]
+
+    @pytest.mark.parametrize("argv, answer", [
+        (("count", "--family", "roots", "--q", "3", "--l", "50", "--n", "12"), "216832000\n"),
+        (("root", "(1 2)", "--q", "4", "--l", "1000000000000"), None),
+    ])
+    def test_huge_root_degree_answers_quickly(self, argv, answer):
+        done = permroot_subprocess(*argv)
+        if answer is None:
+            assert (done.returncode, done.stdout) == (2, "")
+            assert done.stderr.startswith("error: q**l is bounded by")
+        else:
+            assert (done.returncode, done.stdout, done.stderr) == (0, answer, "")
+
+    @pytest.mark.parametrize("argv, shortest", [
+        (("count", "--family", "reg", "--r", "2", "--n", "1700"), 4300),
+        (("root", f"(1 {'9' * 5000})", "--r", "2"), len("no\n")),
+        (("root", f"(1 2) (3 {'9' * 5000})", "--r", "2"), 5000),
+        (("map", "delta", "--r", "3", f"(1 {'9' * 5000})", "--format", "json"), 5000),
+    ])
+    def test_numbers_past_the_int_str_digit_limit(self, capsys, argv, shortest):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(out) >= shortest
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -291,6 +291,11 @@ class TestRootCounts:
         assert prob_root(6, 5) == Fraction(1, 3)
         assert count_roots(6, 8) == 8680
 
+    def test_huge_r(self):
+        # every length divisible by 3 needs a multiple of 3**50 cycles, so
+        # only the 3-regular permutations have a root
+        assert count_roots(3**50, 12) == count_reg(3, 12)
+
     def test_sequence_consistent(self):
         seq = root_count_sequence(2, 12)
         assert seq[12] == count_roots(2, 12)
