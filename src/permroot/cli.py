@@ -298,13 +298,19 @@ def _cmd_map(args) -> int:
 MAX_DEGREE_BITS = 4096
 
 
-def _degree(args) -> int | None:
-    """--r, or else --q to the power --l."""
-    if args.r is not None or args.q is None:
-        return args.r
-    check_modulus(args.q, "q")
+def _check_q_l(args) -> None:
+    """--q and --l are checked even where --r wins or nothing reads them."""
     if args.l < 1:
         raise DomainError(f"l must be an integer >= 1, got {args.l}")
+    if args.q is not None:
+        check_modulus(args.q, "q")
+
+
+def _degree(args) -> int | None:
+    """--r, or else --q to the power --l."""
+    _check_q_l(args)
+    if args.r is not None or args.q is None:
+        return args.r
     bits = args.l * args.q.bit_length()
     if bits > MAX_DEGREE_BITS:
         raise DomainError(
@@ -402,6 +408,7 @@ FAMILIES = {
 def _family_spec(args) -> tuple[_Family, FamilySpec, dict]:
     if args.bound < 1:
         raise DomainError("enumeration bound must be positive")
+    _check_q_l(args)
     family = FAMILIES[args.family]
     params: dict = {"n": args.n}
     for name, read, flag in family.flags:

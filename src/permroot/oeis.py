@@ -172,13 +172,10 @@ def prime_cache_from_fixture(
     return target
 
 
-def cross_check(
-    seq: SequenceRef,
-    generator: Callable[[int], int],
-    upto: int,
-) -> VerificationReport:
-    """Compare ``generator(index)`` with every sequence term of index
-    <= upto; the report fails at the first mismatch."""
+def term_checks(seq: SequenceRef, generator: Callable[[int], int], upto: int):
+    """A property check (see ``report.run_property``): compares
+    ``generator(index)`` with every sequence term of index <= upto, yields
+    once per term compared and returns the first mismatch, or None."""
     if upto > seq.max_index:
         raise DomainError(
             f"{seq.oeis_id} has terms up to index {seq.max_index}, requested {upto}"
@@ -187,18 +184,24 @@ def cross_check(
         raise DomainError(
             f"{seq.oeis_id} has terms from index {seq.terms[0][0]}, requested {upto}"
         )
+    for index, value in seq.terms:
+        if index > upto:
+            break
+        computed = generator(index)
+        yield
+        if computed != value:
+            return f"index {index}: sequence has {value}, computed {computed}"
 
-    def check():
-        checked = 0
-        for index, value in seq.terms:
-            if index > upto:
-                break
-            computed = generator(index)
-            checked += 1
-            if computed != value:
-                return checked, f"index {index}: sequence has {value}, computed {computed}"
-        return checked, None
 
+def cross_check(
+    seq: SequenceRef,
+    generator: Callable[[int], int],
+    upto: int,
+) -> VerificationReport:
+    """The report of ``term_checks``: it fails at the first term of index
+    <= upto where ``generator(index)`` differs, and an ``upto`` outside the
+    sequence's indices raises DomainError."""
     return run_property(
-        f"oeis/{seq.oeis_id}", {"oeis_id": seq.oeis_id, "upto": upto}, check
+        f"oeis/{seq.oeis_id}", {"oeis_id": seq.oeis_id, "upto": upto},
+        term_checks(seq, generator, upto),
     )

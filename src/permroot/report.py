@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Generator
 
 from .errors import DomainError
 
@@ -54,11 +54,19 @@ class VerificationReport:
 def run_property(
     property_id: str,
     instance_range: dict,
-    check: Callable[[], tuple[int, str | None]],
+    check: Generator[None, None, str | None],
 ) -> VerificationReport:
-    """Time a property check returning (instances checked, counterexample)."""
+    """Run and time one property check: a generator that yields once per
+    instance checked and returns its counterexample, or None when the
+    property holds.  The yields are the report's ``counts_checked``."""
     start = time.perf_counter()
-    checked, counterexample = check()
+    checked = 0
+    try:
+        while True:
+            next(check)
+            checked += 1
+    except StopIteration as done:
+        counterexample = done.value
     elapsed = time.perf_counter() - start
     return VerificationReport(
         property_id=property_id,

@@ -30,25 +30,29 @@ from .errors import DomainError, check_modulus
 from .permutation import CycleType, Permutation
 
 BRUTE_FORCE_BOUND = 8
+# every r up to this bound is decided; a larger r only if it has a prime
+# factor up to isqrt(TRIAL_DIVISION_BOUND), so trial division takes at most
+# 2**20 steps
+TRIAL_DIVISION_BOUND = 2**40
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_power_decomposition(m) == (m, 1)
 
 
 def prime_power_decomposition(r: int) -> tuple[int, int] | None:
-    """(q, l) with r = q**l and q prime, or None if r is not a prime power."""
+    """(q, l) with r = q**l and q prime, or None if r is not a prime power.
+    Trial division: an r above TRIAL_DIVISION_BOUND with no prime factor up
+    to isqrt(TRIAL_DIVISION_BOUND) raises DomainError."""
     if r < 2:
         return None
     q = 2
     while q * q <= r:
+        if q * q > TRIAL_DIVISION_BOUND:
+            raise DomainError(
+                f"trial division is bounded by {TRIAL_DIVISION_BOUND}: "
+                f"{r} has no prime factor up to {q - 1}"
+            )
         if r % q == 0:
             l = 0
             m = r

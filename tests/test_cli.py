@@ -219,6 +219,27 @@ class TestRoot:
             code, out, err = run_cli(capsys, *command, *flags)
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("count", "--family", "reg", "--r", "2", "--q", "2", "--l", "-1", "--n", "3"),
+        ("count", "--family", "s-rho-q", "--q", "2", "--rho", "", "--l", "-5", "--n", "3"),
+        ("root", "--r", "2", "--l", "0", "(1 2)"),
+    ])
+    def test_prime_power_flags_checked_where_unread(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        l = argv[argv.index("--l") + 1]
+        assert (code, out, err) == (2, "", f"error: l must be an integer >= 1, got {l}\n")
+
+    def test_modulus_q_is_not_a_degree(self, capsys):
+        # cyc-qr reads --q as a modulus and takes no power, so MAX_DEGREE_BITS does not apply
+        big = str(2**5000 + 1)
+        code, out, err = run_cli(capsys, "count", "--family", "cyc-qr", "--q", big, "--r", "2", "--n", "4")
+        assert (code, out, err) == (0, "0\n", "")
+
+    def test_r_wins_over_valid_prime_power_flags(self, capsys):
+        with_q = run_cli(capsys, "root", "--r", "2", "--q", "3", "--l", "2", "(1 2)(3 4)")
+        assert with_q == run_cli(capsys, "root", "--r", "2", "(1 2)(3 4)")
+        assert with_q[0] == 0
+
     def test_json_schema(self, capsys):
         code, payload, _ = run_json(capsys, "root", "--r", "2", "(1 2 3 4)(5 6 7 8)")
         assert code == 0

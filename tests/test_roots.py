@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +12,13 @@ from permroot.errors import DomainError
 from permroot.families import FamilySpec, enumerate_family
 from permroot.permutation import Permutation, parse_cycle_type
 from permroot.roots import (
+    TRIAL_DIVISION_BOUND,
     brute_force_root_table,
     bunch_sizes,
     find_root_bruteforce,
     has_root_general,
     has_root_prime_power,
+    is_prime,
     is_qr_divisible,
     prime_power_decomposition,
     smallest_bunch_size,
@@ -39,6 +45,45 @@ class TestPrimePowerCriterion:
     def test_prime_power_decomposition(self):
         assert prime_power_decomposition(8) == (2, 3)
         assert prime_power_decomposition(6) is None
+
+    def test_primes_and_prime_powers_below_2000(self):
+        primes = [q for q in range(2, 2000) if all(q % d for d in range(2, q))]
+        powers = {q**l: (q, l) for q in primes for l in range(1, 11) if q**l < 2000}
+        for m in range(-2, 2000):
+            assert is_prime(m) == (m in primes)
+            assert prime_power_decomposition(m) == powers.get(m)
+
+    def test_trial_division_bound(self):
+        assert prime_power_decomposition(2**40) == (2, 40)
+        assert prime_power_decomposition(2**41) == (2, 41)
+        assert prime_power_decomposition(3**30) == (3, 30)
+        assert not is_prime(10**12)
+        # 2**61 - 1 is prime: trial division to its square root would not
+        # return; a child process times each refusal
+        code = (
+            "import time\n"
+            "from permroot.errors import DomainError\n"
+            "from permroot.roots import is_prime, prime_power_decomposition\n"
+            "for fn in (is_prime, prime_power_decomposition):\n"
+            "    start = time.perf_counter()\n"
+            "    try:\n"
+            "        fn(2**61 - 1)\n"
+            "    except DomainError as exc:\n"
+            "        print(time.perf_counter() - start, exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10, env=env
+        )
+        lines = done.stdout.splitlines()
+        assert len(lines) == 2, done.stderr
+        for line in lines:
+            seconds, message = line.split(" ", 1)
+            assert float(seconds) < 1
+            assert message == (
+                f"trial division is bounded by {TRIAL_DIVISION_BOUND}: "
+                f"{2**61 - 1} has no prime factor up to {math.isqrt(TRIAL_DIVISION_BOUND)}"
+            )
 
     def test_fourth_root_needs_multiplicity_four(self, P):
         # two 2-cycles have a square root but no fourth root

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from permroot import bijections, counting, verify
 from permroot.errors import DomainError
 from permroot.permutation import CycleType
 from permroot.report import (
@@ -156,6 +157,66 @@ class TestRegistry:
     def test_bad_phi_override_raises_domain_error(self, bounds):
         with pytest.raises(DomainError):
             run_suite("phi-bijection", bounds)
+
+
+def _wrong_at(fn, bad, delta=1):
+    """``fn`` with ``delta`` added to its value on the arguments ``bad``."""
+    return lambda *args: fn(*args) + delta if args == bad else fn(*args)
+
+
+# (suite, property id, owner module, attribute, wrong replacement built from
+# the original) -> the (counts_checked, counterexample) of each report of
+# that property under REDUCED_BOUNDS, recorded when every property counted
+# its own instances.
+FAILING_CASES = [
+    (
+        "inequalities", "counting/cyc-at-most-reg", counting, "count_cyc",
+        lambda orig: lambda r, n, *method: (
+            counting.count_reg(r, n) + 1 if (r, n) == (3, 4) else orig(r, n, *method)
+        ),
+        [(9, "|Cyc_3(4)|=17 > |Reg_3(4)|=16")],
+    ),
+    (
+        "perm-core", "perm-core/family-partitions", verify, "is_nearly_regular",
+        lambda orig: lambda p, r: orig(p, r) and str(p) != "(1 2 3) (4)",
+        [(132, "bucket k=3 r=3 holds misclassified (1 2 3) (4)")],
+    ),
+    (
+        "monotonicity", "counting/non-prime-power-counterexample", counting, "prob_root",
+        lambda orig: _wrong_at(orig, (6, 4)),
+        [(1, "p_6(4)=7/6, expected 1/6")],
+    ),
+    (
+        "monotonicity", "counting/non-prime-power-counterexample", counting, "prob_root",
+        lambda orig: _wrong_at(orig, (6, 5)),
+        [(2, "p_6(5)=4/3, expected 1/3")],
+    ),
+    (
+        "oeis", "oeis/square-permutation-sequence", counting, "count_roots",
+        lambda orig: _wrong_at(orig, (2, 5)),
+        [(6, "index 5: sequence has 60, computed 61")],
+    ),
+    (
+        "bijections", "bijections/odd-even-refinement", bijections, "shrink_first_cycle",
+        lambda orig: lambda pi, r: orig(pi, r) if pi.size != 4 else pi,
+        [(4, "shrink(grow((1) (2) (3) (4))) != original (r=2)")],
+    ),
+    (
+        "phi-bijection", "bijections/enriched-decomposition-bijection", counting,
+        "count_enriched_cyc", lambda orig: _wrong_at(orig, (3, 6)),
+        [(1, None), (9, None), (4, None), (0, "|Reg_3(6)|=400 != |Cyc*_3(6)|=401"), (18, None)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,property_id,owner,attr,wrong,expected", FAILING_CASES,
+    ids=[f"{case[1]}-{i}" for i, case in enumerate(FAILING_CASES)],
+)
+def test_failing_reports_unchanged(monkeypatch, suite, property_id, owner, attr, wrong, expected):
+    monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
+    reports = [r for r in run_suite(suite, REDUCED_BOUNDS) if r.property_id == property_id]
+    assert [(r.counts_checked, r.counterexample) for r in reports] == expected
 
 
 # p(m), the number of partitions of m, for m = 0..12
