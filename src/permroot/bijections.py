@@ -23,6 +23,11 @@ permutations through a chain of smaller bijections:
 which is the first cycle in canonical order.  Every map runs one loop over
 a stack of cycles (first cycle on top), so none recurses.  All functions are
 pure; all inputs are validated and violations raise ``DomainError``.
+
+Each public map is its checks, one core on canonical cycle tuples
+(``_extract``, ``_insert``, ``_grow_first``, ``_shrink_first``, ``_merge``)
+and the construction of its result; verification calls the cores directly
+on inputs that lie in the domain by construction.
 """
 
 from __future__ import annotations
@@ -99,13 +104,44 @@ def _shrink(stack: list[Cycle], r: int, steps: int) -> None:
     stack.append(first[:-steps])
 
 
-def _on_stack(cycles: tuple[Cycle, ...], step, r: int, arg) -> Permutation:
+def _run(cycles: tuple[Cycle, ...], step, r: int, arg) -> tuple[Cycle, ...]:
     """Run ``step(stack, r, arg)`` on a stack of ``cycles``."""
     stack = list(cycles)
     stack.reverse()
     step(stack, r, arg)
     stack.reverse()
-    return Permutation._from_canonical(tuple(stack))
+    return tuple(stack)
+
+
+# -- the map cores: canonical cycle tuples in and out, no checks -------------
+
+def _extract(cycles: tuple[Cycle, ...], r: int) -> tuple[int, tuple[Cycle, ...]]:
+    return cycles[0][-1], _run(cycles, _chain, r, None)
+
+
+def _insert(x: int, cycles: tuple[Cycle, ...], r: int) -> tuple[Cycle, ...]:
+    return _run(cycles, _chain, r, x)
+
+
+def _grow_first(cycles: tuple[Cycle, ...], r: int) -> tuple[Cycle, ...]:
+    return _run(cycles, _grow, r, 1)
+
+
+def _shrink_first(cycles: tuple[Cycle, ...], r: int) -> tuple[Cycle, ...]:
+    return _run(cycles, _shrink, r, 1)
+
+
+def _merge(cycles: Sequence[Cycle], break_points: Sequence[int]) -> Cycle:
+    """The first cycle from its minimum, then each later cycle opened at its
+    break point, rotated to the minimum of the whole."""
+    head = cycles[0]
+    i = head.index(min(head))
+    merged = head[i:] + head[:i]
+    for cyc, bp in zip(cycles[1:], break_points):
+        j = cyc.index(bp)
+        merged += cyc[j:] + cyc[:j]
+    i = merged.index(min(merged))
+    return merged[i:] + merged[:i]
 
 
 def _regular(cycles: Sequence[Cycle], r: int) -> bool:
@@ -125,7 +161,8 @@ def extract_element(sigma: Permutation, r: int) -> DeltaOutput:
     if sigma.size % r == 0:  # also rejects the empty permutation
         raise DomainError(f"ground-set size {sigma.size} is a multiple of r={r}")
     _require_regular(sigma, r)
-    return DeltaOutput(sigma.cycles[0][-1], _on_stack(sigma.cycles, _chain, r, None))
+    x, rest = _extract(sigma.cycles, r)
+    return DeltaOutput(x, Permutation._from_canonical(rest))
 
 
 def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
@@ -139,7 +176,7 @@ def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
     if (pi.size + 1) % r == 0:
         raise DomainError(f"resulting size {pi.size + 1} would be a multiple of r={r}")
     _require_regular(pi, r)
-    return _on_stack(pi.cycles, _chain, r, x)
+    return Permutation._from_canonical(_insert(x, pi.cycles, r))
 
 
 def extend_regular(sigma: Permutation, j: int, r: int) -> Permutation:
@@ -156,7 +193,7 @@ def extend_regular(sigma: Permutation, j: int, r: int) -> Permutation:
     _require_regular(sigma, r)
     labels = [e for e in range(1, n + 2) if e != j]
     relabeled = sigma.relabel({i + 1: lab for i, lab in enumerate(labels)})
-    return _on_stack(relabeled.cycles, _chain, r, j)
+    return Permutation._from_canonical(_insert(j, relabeled.cycles, r))
 
 
 # -- first-cycle growth -------------------------------------------------------
@@ -173,7 +210,7 @@ def grow_first_cycle(sigma: Permutation, r: int) -> Permutation:
         raise DomainError(f"n-k={sigma.size - k} is a multiple of r={r}")
     if not _regular(sigma.cycles[1:], r):
         raise DomainError("cycles beyond the first must be r-regular")
-    return _on_stack(sigma.cycles, _grow, r, 1)
+    return Permutation._from_canonical(_grow_first(sigma.cycles, r))
 
 
 def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
@@ -189,7 +226,7 @@ def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
         raise DomainError(f"n-k={pi.size - length + 1} is a multiple of r={r}")
     if not _regular(pi.cycles[1:], r):
         raise DomainError("cycles beyond the first must be r-regular")
-    return _on_stack(pi.cycles, _shrink, r, 1)
+    return Permutation._from_canonical(_shrink_first(pi.cycles, r))
 
 
 # -- regular <-> nearly regular <-> enriched cycle permutations ---------------
@@ -204,7 +241,7 @@ def to_nearly_regular(sigma: Permutation, r: int) -> EnrichedPermutation:
         raise DomainError(f"ground-set size {sigma.size} is not a multiple of r={r}")
     _require_regular(sigma, r)
     color = len(sigma.cycles[0]) % r
-    base = _on_stack(sigma.cycles, _grow, r, r - color)
+    base = Permutation._from_canonical(_run(sigma.cycles, _grow, r, r - color))
     return EnrichedPermutation(base, r, (color,) + (None,) * (len(base.cycles) - 1))
 
 
@@ -221,7 +258,8 @@ def from_nearly_regular(tau: EnrichedPermutation) -> Permutation:
     """Inverse of ``to_nearly_regular``: shrink the colored first cycle back
     to its recorded residue."""
     color = _require_nearly_regular(tau)
-    return _on_stack(tau.base.cycles, _shrink, tau.r, tau.r - color)
+    cycles = _run(tau.base.cycles, _shrink, tau.r, tau.r - color)
+    return Permutation._from_canonical(cycles)
 
 
 def split_nearly_regular(tau: EnrichedPermutation) -> tuple[ColoredFirstCycle, Permutation]:
@@ -286,14 +324,7 @@ def merge_cycle_class(
         raise DomainError(
             f"expected {len(cycs) - 1} break points, got {len(break_points)}"
         )
-    head = cycs[0]
-    pivot = head.index(min(head))
-    merged = list(head[pivot:] + head[:pivot])
     for cyc, bp in zip(cycs[1:], break_points):
         if bp not in cyc:
             raise DomainError(f"break point {bp} is not in cycle {cyc}")
-        j = cyc.index(bp)
-        merged.extend(cyc[j:] + cyc[:j])
-    # canonical rotation of the resulting cycle
-    pivot = merged.index(min(merged))
-    return tuple(merged[pivot:] + merged[:pivot])
+    return _merge(cycs, break_points)

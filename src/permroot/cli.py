@@ -1,16 +1,18 @@
 """Command-line interface.
 
 Subcommands: map, root, count, prob, enumerate, verify, oeis.  Exit codes:
-0 success, 1 verification failure, 2 usage or input error.  Permutations are
-passed as quoted cycle-notation strings or, in batch mode, one per line on
-standard input; a bad line is reported with its line number and the other
-lines still get their answers.
+0 success, 1 verification failure, 2 usage or input error, 141 standard
+output closed early (a closed pipe).  Permutations are passed as quoted
+cycle-notation strings or, in batch mode, one per line on standard input; a
+bad line is reported with its line number and the other lines still get
+their answers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +37,7 @@ from .roots import BRUTE_FORCE_BOUND, find_root_bruteforce, has_root_general
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 def _delta(text: str, args) -> dict:
@@ -563,10 +566,17 @@ def main(argv=None) -> int:
             else:
                 parser.error(f"unrecognized arguments: {' '.join(extras)}")
         try:
-            return args.handler(args)
+            status = args.handler(args)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+            return status
         except PermrootError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        except BrokenPipeError:
+            # the reader went away (`permroot ... | head -1`): point stdout
+            # at devnull so the interpreter's final flush stays silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

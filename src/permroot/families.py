@@ -321,9 +321,16 @@ def enumerate_regular_on(elements, r: int) -> Iterator[Permutation]:
     """r-regular permutations of an arbitrary ground set, by order-preserving
     relabeling of the enumeration over [n]."""
     elems = sorted(set(elements))
-    relabel = {i + 1: e for i, e in enumerate(elems)}
-    for p in enumerate_family(FamilySpec.regular(r, len(elems))):
-        yield p.relabel(relabel) if elems != list(range(1, len(elems) + 1)) else p
+    members = enumerate_family(FamilySpec.regular(r, len(elems)))
+    if elems == list(range(1, len(elems) + 1)):
+        yield from members
+        return
+    Permutation((e,) for e in elems)  # the labels must be positive integers
+    # an increasing relabeling keeps every cycle's minimum first and the
+    # order of the minima, so the canonical form carries over
+    label = (0, *elems).__getitem__
+    for p in members:
+        yield Permutation._from_canonical(tuple(tuple(map(label, c)) for c in p.cycles))
 
 
 def _colorings(base: Permutation, r: int) -> Iterator[EnrichedPermutation]:

@@ -246,7 +246,7 @@ class EnrichedPermutation:
                     raise InvalidPermutationError(
                         f"singular cycle {cyc} (length {len(cyc)}, r={r}) must carry a color"
                     )
-                if not isinstance(col, int) or not 1 <= col <= r - 1:
+                if not isinstance(col, int) or isinstance(col, bool) or not 1 <= col <= r - 1:
                     raise InvalidPermutationError(f"color {col!r} out of range 1..{r - 1}")
             elif col is not None:
                 raise InvalidPermutationError(f"regular cycle {cyc} must not carry a color")

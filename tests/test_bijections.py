@@ -17,8 +17,9 @@ from permroot.bijections import (
     to_enriched_cycles,
     to_nearly_regular,
 )
+from permroot import bijections
 from permroot.counting import count_reg
-from permroot.errors import DomainError
+from permroot.errors import DomainError, InvalidPermutationError
 from permroot.families import (
     FamilySpec,
     enumerate_enriched_cycles,
@@ -244,3 +245,133 @@ class TestMergeCycleClass:
             for bp in pi.cycles[1]:
                 outputs.add(merge_cycle_class(pi.cycles, [bp]))
         assert len(outputs) == expected == 6
+
+
+# -- the public maps are their checks, a core on cycle tuples and a constructor --
+
+def _in_grow_domain(cycles, n, r):
+    return bool(cycles) and (n - len(cycles[0])) % r != 0 and all(len(c) % r for c in cycles[1:])
+
+
+def _in_shrink_domain(cycles, n, r):
+    return bool(cycles) and len(cycles[0]) >= 2 and _in_grow_domain(
+        (cycles[0][:-1],) + cycles[1:], n, r
+    )
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_wrappers_equal_cores(r):
+    """Every member of each map's domain over [n], n <= 7: the wrapper's
+    output has exactly the core's cycles."""
+    for n in range(8):
+        for sigma in enumerate_family(FamilySpec.everything(n)):
+            cycles = sigma.cycles
+            if n % r and all(len(c) % r for c in cycles):
+                x, rest = extract_element(sigma, r)
+                assert (x, rest.cycles) == bijections._extract(cycles, r)
+                # extraction images cover the insertion domain on [n]
+                assert insert_element(x, rest, r).cycles == bijections._insert(x, rest.cycles, r)
+            if (n + 1) % r and all(len(c) % r for c in cycles):
+                for j in range(1, n + 2):
+                    labels = [e for e in range(1, n + 2) if e != j]
+                    relabeled = sigma.relabel(dict(enumerate(labels, start=1)))
+                    assert extend_regular(sigma, j, r).cycles == bijections._insert(
+                        j, relabeled.cycles, r
+                    )
+            if _in_grow_domain(cycles, n, r):
+                assert grow_first_cycle(sigma, r).cycles == bijections._grow_first(cycles, r)
+            if _in_shrink_domain(cycles, n, r):
+                assert shrink_first_cycle(sigma, r).cycles == bijections._shrink_first(cycles, r)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_merge_equals_core(r):
+    """Every class of r equal-length cycles of a permutation of [n], n <= 7,
+    under every break-point vector, as given and with each cycle rotated."""
+    for n in range(8):
+        for sigma in enumerate_family(FamilySpec.everything(n)):
+            for length in {len(c) for c in sigma.cycles}:
+                same = [c for c in sigma.cycles if len(c) == length]
+                for chunk in itertools.combinations(same, r):
+                    rotated = [c[1:] + c[:1] for c in chunk]
+                    for breaks in itertools.product(*chunk[1:]):
+                        for given in (chunk, rotated):
+                            assert merge_cycle_class(given, breaks) == bijections._merge(
+                                given, breaks
+                            )
+
+
+# (map, arguments, error type, message): one row per check of a public map,
+# each input passing the checks before it
+WRAPPER_CHECKS = [
+    (extract_element, (parse("(1)"), 1), DomainError, "r must be an integer >= 2, got 1"),
+    (extract_element, (parse(""), 2), DomainError, "ground-set size 0 is a multiple of r=2"),
+    (extract_element, (parse("(1 2) (3)"), 2), DomainError, "(1 2) (3) is not 2-regular"),
+    (insert_element, (1, parse("(2)"), 1), DomainError, "r must be an integer >= 2, got 1"),
+    (insert_element, ("1", parse("(2)"), 3), DomainError,
+     "distinguished element must be a positive integer, got '1'"),
+    (insert_element, (0, parse("(2)"), 3), DomainError,
+     "distinguished element must be a positive integer, got 0"),
+    (insert_element, (2, parse("(2 3)"), 3), DomainError, "element 2 already occurs in (2 3)"),
+    (insert_element, (1, parse("(2)"), 2), DomainError,
+     "resulting size 2 would be a multiple of r=2"),
+    (insert_element, (4, parse("(1 2 3)"), 3), DomainError, "(1 2 3) is not 3-regular"),
+    (extend_regular, (parse("(1)"), 1, 1), DomainError, "r must be an integer >= 2, got 1"),
+    (extend_regular, (parse("(2 3)"), 1, 2), DomainError, "ground set is not [2]"),
+    (extend_regular, (parse("(1)"), 1, 2), DomainError, "n+1=2 is a multiple of r=2"),
+    (extend_regular, (parse("(1 2)"), 0, 2), DomainError, "j must lie in 1..3, got 0"),
+    (extend_regular, (parse("(1 2)"), 4, 2), DomainError, "j must lie in 1..3, got 4"),
+    (extend_regular, (parse("(1 2)"), "1", 2), DomainError, "j must lie in 1..3, got '1'"),
+    (extend_regular, (parse("(1 2)"), 1, 2), DomainError, "(1 2) is not 2-regular"),
+    (grow_first_cycle, (parse("(1)"), 0), DomainError, "r must be an integer >= 2, got 0"),
+    (grow_first_cycle, (parse(""), 2), DomainError, "cannot grow the empty permutation"),
+    (grow_first_cycle, (parse("(1) (2) (3 4)"), 3), DomainError, "n-k=3 is a multiple of r=3"),
+    (grow_first_cycle, (parse("(1 2) (3 4 5) (6)"), 3), DomainError,
+     "cycles beyond the first must be r-regular"),
+    (shrink_first_cycle, (parse("(1 2)"), 0), DomainError, "r must be an integer >= 2, got 0"),
+    (shrink_first_cycle, (parse(""), 2), DomainError, "cannot shrink the empty permutation"),
+    (shrink_first_cycle, (parse("(1) (2) (3)"), 2), DomainError,
+     "first cycle has no entry to remove"),
+    (shrink_first_cycle, (parse("(1 2) (3 4)"), 3), DomainError, "n-k=3 is a multiple of r=3"),
+    (shrink_first_cycle, (parse("(1 2) (3 4)"), 2), DomainError,
+     "cycles beyond the first must be r-regular"),
+    (to_nearly_regular, (parse("(1)"), 1), DomainError, "r must be an integer >= 2, got 1"),
+    (to_nearly_regular, (parse(""), 2), DomainError,
+     "the empty permutation has no first cycle to grow"),
+    (to_nearly_regular, (parse("(1 2) (3)"), 2), DomainError,
+     "ground-set size 3 is not a multiple of r=2"),
+    (to_nearly_regular, (parse("(1 2 3) (4 5 6)"), 3), DomainError,
+     "(1 2 3) (4 5 6) is not 3-regular"),
+    (from_nearly_regular, (parse("(1 2 3)_1 (4 5 6)_2", r=3),), DomainError,
+     "expected a nearly regular enrichment: exactly the first cycle colored"),
+    (from_nearly_regular, (parse("(1) (2 3 4)_1", r=3),), DomainError,
+     "expected a nearly regular enrichment: exactly the first cycle colored"),
+    (to_enriched_cycles, (parse("(1 2)"), 1), DomainError, "r must be an integer >= 2, got 1"),
+    (to_enriched_cycles, (parse("(1 2) (3)"), 2), DomainError,
+     "ground-set size 3 is not a multiple of r=2"),
+    (to_enriched_cycles, (parse("(1 2) (3 4)"), 2), DomainError, "(1 2) (3 4) is not 2-regular"),
+    (from_enriched_cycles, (parse("(1) (2 3 4)_1", r=3),), DomainError,
+     "every cycle must be singular and colored"),
+    (merge_cycle_class, ([(1, 2)], []), DomainError, "need at least two cycles to merge"),
+    (merge_cycle_class, ([(1, 2), (3, 4, 5)], [3]), DomainError,
+     "cycles must all have the same positive length"),
+    (merge_cycle_class, ([(), ()], []), DomainError,
+     "cycles must all have the same positive length"),
+    (merge_cycle_class, ([(1, 2), (2, 3)], [3]), InvalidPermutationError,
+     "cycles are not disjoint"),
+    (merge_cycle_class, ([(1, 2), (3, 4)], []), DomainError, "expected 1 break points, got 0"),
+    (merge_cycle_class, ([(1, 2), (3, 4)], [3, 4]), DomainError,
+     "expected 1 break points, got 2"),
+    (merge_cycle_class, ([(1, 2), (3, 4)], [9]), DomainError,
+     "break point 9 is not in cycle (3, 4)"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, error, message", WRAPPER_CHECKS,
+    ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(WRAPPER_CHECKS)],
+)
+def test_wrapper_checks_raise(fn, args, error, message):
+    with pytest.raises(error) as exc:
+        fn(*args)
+    assert type(exc.value) is error and str(exc.value) == message

@@ -554,16 +554,46 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def permroot_subprocess(*args, code=None, timeout=10):
-    """Run ``permroot ARGS`` (or ``python -c CODE``) on this checkout in a
-    fresh interpreter, failing the test if it outlives ``timeout``."""
+def checkout_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def permroot_subprocess(*args, code=None, timeout=10):
+    """Run ``permroot ARGS`` (or ``python -c CODE``) on this checkout in a
+    fresh interpreter, failing the test if it outlives ``timeout``."""
     argv = ["-c", code] if code is not None else ["-m", "permroot.cli", *args]
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *argv], env=checkout_env(), capture_output=True, text=True,
+        timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("argv, stdin_lines", [
+    (("enumerate", "--family", "all", "--n", "8"), 0),
+    (("map", "delta", "--r", "3"), 20000),
+])
+def test_closed_pipe_exits_quietly(tmp_path, argv, stdin_lines):
+    """``permroot ... | head -1``: the reader takes one line and closes the
+    pipe while more than a pipe buffer of answers is still to come."""
+    stdin = tmp_path / "stdin.txt"
+    stdin.write_text("(1 2) (3 4 5 6 7)\n" * stdin_lines)
+    with open(stdin) as fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "permroot.cli", *argv], env=checkout_env(),
+            stdin=fh, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=30)
+    assert first.strip() in ("(1) (2) (3) (4) (5) (6) (7) (8)", "2 | (1) (3 4 5 6 7)")
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert (code, err) == (cli.EXIT_BROKEN_PIPE, "")
 
 
 class TestCallCost:

@@ -5,7 +5,7 @@ import pytest
 
 from permroot import families
 from permroot.counting import count_reg
-from permroot.errors import DomainError, EnumerationBoundError
+from permroot.errors import DomainError, EnumerationBoundError, InvalidPermutationError
 from permroot.families import (
     _FAMILIES,
     FamilySpec,
@@ -120,6 +120,24 @@ class TestEnumerate:
         assert parse("(3) (5 6)") in members
         assert all(p.ground_set() == frozenset({3, 5, 6}) for p in members)
         assert len(members) == count_reg(3, 3)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_enumerate_regular_on_equals_relabel(self, r):
+        """The trusted relabeling gives what the validating relabel gives,
+        member for member, on every subset of [7]."""
+        for size in range(8):
+            for subset in itertools.combinations(range(1, 8), size):
+                labels = dict(enumerate(subset, start=1))
+                expected = [
+                    p.relabel(labels) for p in enumerate_family(FamilySpec.regular(r, size))
+                ]
+                got = list(enumerate_regular_on(subset, r))
+                assert [p.cycles for p in got] == [p.cycles for p in expected]
+
+    @pytest.mark.parametrize("elements", [[0, 1, 2], [-1, 3], [1, 2.5]])
+    def test_enumerate_regular_on_rejects_bad_labels(self, elements):
+        with pytest.raises(InvalidPermutationError, match="must be positive integers"):
+            next(enumerate_regular_on(elements, 2))
 
     def test_enriched_enumeration_counts_colors(self):
         members = list(enumerate_enriched_cycles(3, 3))

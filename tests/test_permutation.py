@@ -183,6 +183,19 @@ class TestEnriched:
         with pytest.raises(InvalidPermutationError):
             EnrichedPermutation(P("(1 2 3)"), 2, (1,))
 
+    @pytest.mark.parametrize("colors", [[True], (True,), {0: True}, {"0": True}])
+    def test_bool_color_rejected(self, P, colors):
+        # str() would print "(1 2)_True", which parse rejects
+        with pytest.raises(InvalidPermutationError, match=r"^color True out of range 1\.\.1$"):
+            EnrichedPermutation(P("(1 2)"), 2, colors)
+
+    def test_bool_color_rejected_from_json(self):
+        data = {"cycles": [[1, 2, 3]], "colors": {"0": True}, "r": 3}
+        with pytest.raises(InvalidPermutationError, match=r"^color True out of range 1\.\.2$"):
+            EnrichedPermutation.from_json_dict(data)
+        data["colors"] = {"0": 1}
+        assert str(EnrichedPermutation.from_json_dict(data)) == "(1 2 3)_1"
+
     def test_colors_by_index_mapping(self, P):
         e = EnrichedPermutation(P("(1 2 4) (3) (5 6)"), 3, {"0": 2})
         assert e == parse("(1 2 4)_2 (3) (5 6)", r=3)
