@@ -191,8 +191,7 @@ def extend_regular(sigma: Permutation, j: int, r: int) -> Permutation:
     if not isinstance(j, int) or not 1 <= j <= n + 1:
         raise DomainError(f"j must lie in 1..{n + 1}, got {j!r}")
     _require_regular(sigma, r)
-    labels = [e for e in range(1, n + 2) if e != j]
-    relabeled = sigma.relabel({i + 1: lab for i, lab in enumerate(labels)})
+    relabeled = sigma._relabel_increasing([e for e in range(1, n + 2) if e != j])
     return Permutation._from_canonical(_insert(j, relabeled.cycles, r))
 
 
@@ -258,6 +257,8 @@ def from_nearly_regular(tau: EnrichedPermutation) -> Permutation:
     """Inverse of ``to_nearly_regular``: shrink the colored first cycle back
     to its recorded residue."""
     color = _require_nearly_regular(tau)
+    if tau.base.size % tau.r != 0:
+        raise DomainError(f"ground-set size {tau.base.size} is not a multiple of r={tau.r}")
     cycles = _run(tau.base.cycles, _shrink, tau.r, tau.r - color)
     return Permutation._from_canonical(cycles)
 

@@ -326,11 +326,8 @@ def enumerate_regular_on(elements, r: int) -> Iterator[Permutation]:
         yield from members
         return
     Permutation((e,) for e in elems)  # the labels must be positive integers
-    # an increasing relabeling keeps every cycle's minimum first and the
-    # order of the minima, so the canonical form carries over
-    label = (0, *elems).__getitem__
     for p in members:
-        yield Permutation._from_canonical(tuple(tuple(map(label, c)) for c in p.cycles))
+        yield p._relabel_increasing(elems)
 
 
 def _colorings(base: Permutation, r: int) -> Iterator[EnrichedPermutation]:

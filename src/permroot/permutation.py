@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleNotationError, DomainError, InvalidPermutationError, check_modulus
 
@@ -176,6 +176,14 @@ class Permutation:
     def relabel(self, mapping: Mapping[int, int]) -> "Permutation":
         """Rename every element through ``mapping`` (an injection on the ground set)."""
         return Permutation(tuple(mapping[e] for e in c) for c in self._cycles)
+
+    def _relabel_increasing(self, labels: Sequence[int]) -> "Permutation":
+        """Trusted ``relabel`` of a permutation of [n] by i -> labels[i - 1],
+        for increasing positive ``labels``: an increasing relabeling keeps
+        every cycle's minimum first and the order of the minima, so the
+        canonical form carries over."""
+        label = (0, *labels).__getitem__
+        return Permutation._from_canonical(tuple(tuple(map(label, c)) for c in self._cycles))
 
     # -- protocol -----------------------------------------------------------
 

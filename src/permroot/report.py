@@ -38,17 +38,15 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json_dict(self, include_wall_time: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "property_id": self.property_id,
             "range": self.instance_range,
             "status": self.status,
             "counterexample": self.counterexample,
             "counts_checked": self.counts_checked,
+            "wall_time": self.wall_time,
         }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def run_property(
@@ -78,8 +76,8 @@ def run_property(
     )
 
 
-def reports_to_json(reports, include_wall_time: bool = True) -> str:
-    payload = [r.to_json_dict(include_wall_time) for r in reports]
+def reports_to_json(reports) -> str:
+    payload = [r.to_json_dict() for r in reports]
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 

@@ -2,11 +2,12 @@
 
 Each property is declared once, with ``@prop``: its suite, its id and the
 fields of its instance range, each with the flat bounds key that overrides
-it.  Its check is a generator that yields once per instance it checks, and
-``report.run_property`` counts the yields.  A suite is the properties
-declared under its name, and running suites is one map over those
-properties, one :class:`VerificationReport` per instance range.  Reports
-are deterministic (same bounds, same bytes) apart from wall time.
+it.  Its check is a generator whose parameters are those fields: it yields
+once per instance it checks, and ``report.run_property`` counts the yields.
+A suite is the properties declared under its name, and running suites is
+one map over those properties, one :class:`VerificationReport` per instance
+range.  Reports are deterministic (same bounds, same bytes) apart from wall
+time.
 Counterexamples are serialized in cycle notation so they can be replayed
 through the CLI.
 
@@ -146,21 +147,16 @@ def _representative(lengths) -> Permutation:
 
 @dataclass(frozen=True)
 class Property:
-    """One declared property of one suite.  ``check(bounds)`` is a generator
-    over one instance range: it yields once per instance checked and returns
-    the counterexample, or None when the property holds."""
+    """One declared property of one suite.  ``ranges(bounds)`` is the list of
+    instance ranges to report on under a flat bounds dict, one report each;
+    ``check(**instance_range)`` is a generator over one range: it yields once
+    per instance checked and returns the counterexample, or None when the
+    property holds."""
 
     suite: str
     property_id: str
-    check: Callable[[dict], Generator[None, None, str | None]]
-    fields: dict
-    ranges: Callable[[dict], list[dict]] | None = None
-
-    def instance_ranges(self, bounds: dict) -> list[dict]:
-        """The ranges to report on under a flat bounds dict, one report each."""
-        if self.ranges is not None:
-            return self.ranges(bounds)
-        return [{name: _resolve(spec, bounds) for name, spec in self.fields.items()}]
+    check: Callable[..., Generator[None, None, str | None]]
+    ranges: Callable[[dict], list[dict]]
 
 
 _REGISTRY: list[Property] = []
@@ -174,20 +170,24 @@ def _resolve(spec, bounds: dict):
 
 
 def prop(suite: str, property_id: str, ranges=None, **fields):
-    """Declare the decorated generator ``check(bounds)`` as a property of
-    ``suite``: it yields once per instance it checks and returns the
-    counterexample text, or None when the property holds; the runner counts
-    the yields.
+    """Declare the decorated generator ``check`` as a property of ``suite``:
+    it yields once per instance it checks and returns the counterexample
+    text, or None when the property holds; the runner counts the yields.
 
-    Each keyword is one field of the report's instance range, which is the
-    dict ``check`` receives: a pair ``(key, default)`` with a str ``key``
-    reads that flat bounds key and falls back to ``default``; any other
-    value is fixed.  ``ranges``, when given, maps the flat bounds dict to
-    the list of ranges instead, and the property reports once per range.
-    Suites and their order follow the order of declaration."""
+    Each keyword is one field of the report's instance range, and ``check``
+    takes the fields as its keyword arguments: a pair ``(key, default)``
+    with a str ``key`` reads that flat bounds key and falls back to
+    ``default``; any other value is fixed.  ``ranges``, when given, maps the
+    flat bounds dict to the list of ranges instead, and the property reports
+    once per range.  Suites and their order follow the order of
+    declaration."""
+
+    if ranges is None:
+        def ranges(bounds):
+            return [{name: _resolve(spec, bounds) for name, spec in fields.items()}]
 
     def register(check):
-        _REGISTRY.append(Property(suite, property_id, check, fields, ranges))
+        _REGISTRY.append(Property(suite, property_id, check, ranges))
         return check
 
     return register
@@ -196,8 +196,7 @@ def prop(suite: str, property_id: str, ranges=None, **fields):
 # -- perm-core suite -----------------------------------------------------------
 
 @prop("perm-core", "perm-core/format-parse-roundtrip", n_max=("roundtrip_n_max", 6))
-def _format_parse_roundtrip(bounds):
-    n_max = bounds["n_max"]
+def _format_parse_roundtrip(n_max):
     for n in range(n_max + 1):
         for p in enumerate_family(FamilySpec.everything(n)):
             yield
@@ -220,12 +219,10 @@ def _format_parse_roundtrip(bounds):
     "perm-core", "perm-core/split-parts-recombine",
     n_max=("split_n_max", 7), q_values=("q_values", (2, 3)),
 )
-def _split_parts_recombine(bounds):
-    n_max = bounds["n_max"]
-    moduli = tuple(bounds["q_values"])
+def _split_parts_recombine(n_max, q_values):
     for n in range(n_max + 1):
         for p in enumerate_family(FamilySpec.everything(n)):
-            for q in moduli:
+            for q in q_values:
                 yield
                 regular, singular = p.split_parts(q)
                 if set(regular.cycles) | set(singular.cycles) != set(p.cycles):
@@ -240,9 +237,7 @@ def _split_parts_recombine(bounds):
     "perm-core", "perm-core/family-partitions",
     n_max=("partitions_n_max", 8), r_values=("r_values", (2, 3, 4)),
 )
-def _family_partitions(bounds):
-    n_max = bounds["n_max"]
-    r_values = tuple(bounds["r_values"])
+def _family_partitions(n_max, r_values):
     for r in r_values:
         for n in range(1, n_max + 1):
             buckets = _q_buckets(r, n)
@@ -268,10 +263,8 @@ def _family_partitions(bounds):
     "perm-core", "perm-core/power-additivity",
     draws=("draws", 150), n_max=10, seed=("seed", 20250811),
 )
-def _power_additivity(bounds):
-    draws = bounds["draws"]
-    n_max = bounds["n_max"]
-    rng = random.Random(bounds["seed"])
+def _power_additivity(draws, n_max, seed):
+    rng = random.Random(seed)
     for _ in range(draws):
         n = rng.randint(0, n_max)
         elems = list(range(1, n + 1))
@@ -290,9 +283,7 @@ def _power_additivity(bounds):
     "bijections", "bijections/extract-insert-roundtrip",
     n_max=("n_max", 8), r_values=("r_values", (2, 3, 4)),
 )
-def _extract_insert_roundtrip(bounds):
-    n_max = bounds["n_max"]
-    r_values = tuple(bounds["r_values"])
+def _extract_insert_roundtrip(n_max, r_values):
     for r in r_values:
         for n in range(1, n_max + 1):
             if n % r == 0:
@@ -329,9 +320,8 @@ def _extract_insert_roundtrip(bounds):
     "bijections", "bijections/grow-shrink-roundtrip",
     per_r=("per_r", ((2, 8), (3, 9), (4, 8))),
 )
-def _grow_shrink_roundtrip(bounds):
-    r_bounds = dict(bounds["per_r"])
-    for r, n_max in r_bounds.items():
+def _grow_shrink_roundtrip(per_r):
+    for r, n_max in per_r:
         for n in range(1, n_max + 1):
             buckets = _q_buckets(r, n)
             for k, members in sorted(buckets.items()):
@@ -344,6 +334,8 @@ def _grow_shrink_roundtrip(bounds):
                     grown = bij._grow_first(cycles, r)
                     if len(grown[0]) != k + 1:
                         return f"grow({sigma}, r={r}) first cycle != {k + 1}"
+                    if not _regular(map(len, grown[1:]), r):
+                        return f"grow({sigma}, r={r}) left a singular cycle after the first"
                     if bij._shrink_first(grown, r) != cycles:
                         return f"shrink(grow({sigma})) != original (r={r})"
                     image.add(grown)
@@ -359,8 +351,7 @@ def _grow_shrink_roundtrip(bounds):
     "bijections", "bijections/nearly-regular-roundtrip",
     pairs=("nr_pairs", PHI_PAIRS), inverse_n_max=8,
 )
-def _nearly_regular_roundtrip(bounds):
-    pairs = tuple(tuple(p) for p in bounds["pairs"])
+def _nearly_regular_roundtrip(pairs, inverse_n_max):
     for r, rn in pairs:
         image = set()
         for sigma in enumerate_family(FamilySpec.regular(r, rn)):
@@ -377,7 +368,7 @@ def _nearly_regular_roundtrip(bounds):
         if len(image) != expected:
             return f"r={r} rn={rn}: image size {len(image)} != |NReg*|={expected}"
         # inverse round trip over the full enriched codomain at small sizes
-        if rn <= bounds["inverse_n_max"]:
+        if rn <= inverse_n_max:
             for tau in enumerate_enriched_nearly_regular(r, rn):
                 yield
                 if bij.to_nearly_regular(bij.from_nearly_regular(tau), r) != tau:
@@ -388,9 +379,7 @@ def _nearly_regular_roundtrip(bounds):
     "bijections", "bijections/regular-extension-bijectivity",
     n_max=("psi_n_max", 7), r_values=("r_values", (2, 3, 4)),
 )
-def _regular_extension_bijectivity(bounds):
-    n_max = bounds["n_max"]
-    r_values = tuple(bounds["r_values"])
+def _regular_extension_bijectivity(n_max, r_values):
     for r in r_values:
         for n in range(0, n_max + 1):
             if (n + 1) % r == 0:
@@ -412,17 +401,16 @@ def _regular_extension_bijectivity(bounds):
 
 
 @prop("bijections", "bijections/odd-even-refinement", n_max=("ap_n_max", 9))
-def _odd_even_refinement(bounds):
+def _odd_even_refinement(n_max):
     # A_{n,2k-1} = Q_{2,2k-1}(n) and P_{n,2k} = Q_{2,2k}(n): the r = 2 growth
-    return (yield from _grow_shrink_roundtrip({"per_r": ((2, bounds["n_max"]),)}))
+    return (yield from _grow_shrink_roundtrip(per_r=((2, n_max),)))
 
 
 @prop(
     "bijections", "bijections/merge-distinctness",
     grids=("merge_grids", ((2, 2, 4), (2, 2, 8), (3, 3, 9))),
 )
-def _merge_distinctness(bounds):
-    grids = tuple(tuple(g) for g in bounds["grids"])
+def _merge_distinctness(grids):
     for q, r, n in grids:
         outputs = set()
         expected_total = 0
@@ -480,8 +468,7 @@ def _phi_ranges(bounds: dict) -> list[dict]:
 
 
 @prop("phi-bijection", "bijections/enriched-decomposition-bijection", ranges=_phi_ranges)
-def _enriched_decomposition_bijection(bounds):
-    r, rn = bounds["r"], bounds["rn"]
+def _enriched_decomposition_bijection(r, n, rn):
     expected = cnt.count_reg(r, rn)
     enriched_expected = cnt.count_enriched_cyc(r, rn)
     if expected != enriched_expected:
@@ -514,9 +501,7 @@ def _enriched_decomposition_bijection(bounds):
     "roots", "roots/criterion-vs-bruteforce",
     n_max=("n_max", 7), r_values=("r_values", tuple(range(2, 10))),
 )
-def _criterion_vs_bruteforce(bounds):
-    n_max = bounds["n_max"]
-    r_values = tuple(bounds["r_values"])
+def _criterion_vs_bruteforce(n_max, r_values):
     for n in range(n_max + 1):
         # one walk of S_n for the cycle types (one shared tuple per type), in
         # the lexicographic order itertools.permutations also follows; then
@@ -538,8 +523,7 @@ def _criterion_vs_bruteforce(bounds):
 
 
 @prop("roots", "roots/prime-power-consistency", n_max=10)
-def _prime_power_consistency(bounds):
-    n_max = bounds["n_max"]
+def _prime_power_consistency(n_max):
     powers = [
         (r, prime_power_decomposition(r))
         for r in range(2, 10)
@@ -558,9 +542,7 @@ def _prime_power_consistency(bounds):
     "roots", "roots/witness-soundness",
     n_max=("witness_n_max", 6), r_values=("witness_r_values", (2, 3, 4)),
 )
-def _witness_soundness(bounds):
-    n_max = bounds["n_max"]
-    r_values = tuple(bounds["r_values"])
+def _witness_soundness(n_max, r_values):
     for n in range(n_max + 1):
         elems = tuple(range(1, n + 1))
         for r in r_values:
@@ -581,8 +563,7 @@ def _witness_soundness(bounds):
 
 
 @prop("roots", "roots/regular-inclusion", n_max=("inclusion_n_max", 8))
-def _regular_inclusion(bounds):
-    n_max = bounds["n_max"]
+def _regular_inclusion(n_max):
     for q in (2, 3):
         exponents = [l for l in (1, 2, 3) if q**l <= 9]
         for n in range(n_max + 1):
@@ -599,9 +580,7 @@ def _regular_inclusion(bounds):
     "counting", "counting/triple-agreement",
     enum_n_max=("enum_n_max", 8), formula_n_max=("formula_n_max", 60),
 )
-def _triple_agreement(bounds):
-    enum_n_max = bounds["enum_n_max"]
-    formula_n_max = bounds["formula_n_max"]
+def _triple_agreement(enum_n_max, formula_n_max):
     for r in (2, 3, 4):
         for n in range(enum_n_max + 1):
             for counter in (cnt.count_reg, cnt.count_cyc):
@@ -623,8 +602,7 @@ def _triple_agreement(bounds):
 
 
 @prop("counting", "counting/enriched-count-match", n_max=("enriched_n_max", 8))
-def _enriched_count_match(bounds):
-    n_max = bounds["n_max"]
+def _enriched_count_match(n_max):
     for r in (2, 3, 4):
         for n in range(0, n_max + 1, r):
             yield
@@ -641,8 +619,7 @@ def _enriched_count_match(bounds):
 
 
 @prop("counting", "counting/q-family-counts", n_max=("q_family_n_max", 8))
-def _q_family_counts(bounds):
-    n_max = bounds["n_max"]
+def _q_family_counts(n_max):
     for r in (2, 3, 4):
         for n in range(1, n_max + 1):
             for k in range(1, n + 1):
@@ -663,8 +640,7 @@ def _q_family_counts(bounds):
     "counting", "counting/odd-even-family-counts",
     n_max=("ap_n_max", 9), formula_n_max=("ap_formula_n_max", 40),
 )
-def _odd_even_family_counts(bounds):
-    n_max = bounds["n_max"]
+def _odd_even_family_counts(n_max, formula_n_max):
     for n in range(2, n_max + 1):
         # A_{n,2k-1} = Q_{2,2k-1}(n) and P_{n,2k} = Q_{2,2k}(n)
         for k in range(1, n // 2 + 2):
@@ -677,7 +653,7 @@ def _odd_even_family_counts(bounds):
                 if cnt.count_AP(n, k, "even") != sum(1 for _ in _q_family(2, 2 * k, n)):
                     return f"|P_({n},{2 * k})| mismatch"
     # formula-level equalities between neighbours
-    for big_n in range(2, bounds["formula_n_max"] + 1):
+    for big_n in range(2, formula_n_max + 1):
         for k in range(1, big_n // 2 + 1):
             yield
             if big_n % 2 == 0:
@@ -692,9 +668,7 @@ def _odd_even_family_counts(bounds):
     "counting", "counting/merged-type-counts", n_max=("merged_n_max", 8),
     grids=("merged_grids", ((2, 2), (2, 3), (3, 2), (2, 4))),
 )
-def _merged_type_counts(bounds):
-    n_max = bounds["n_max"]
-    grids = tuple(tuple(g) for g in bounds["grids"])
+def _merged_type_counts(n_max, grids):
     for q, r in grids:
         for n in range(n_max + 1):
             yield
@@ -712,8 +686,7 @@ def _merged_type_counts(bounds):
     "counting", "counting/singular-type-counts",
     n_max=("singular_n_max", 8), ratio_n_max=("ratio_n_max", 7),
 )
-def _singular_type_counts(bounds):
-    n_max = bounds["n_max"]
+def _singular_type_counts(n_max, ratio_n_max):
     for q in (2, 3):
         for n in range(n_max + 1):
             observed: dict[CycleType, int] = {}
@@ -730,7 +703,7 @@ def _singular_type_counts(bounds):
                             f"|S_(rho={rho or 'empty'},{q})({n})| formula={formula} "
                             f"enumerated={observed.get(rho, 0)}"
                         )
-        for n in range(1, bounds["ratio_n_max"] + 1):
+        for n in range(1, ratio_n_max + 1):
             if (n + 1) % q == 0:
                 yield
                 if n * cnt.count_reg(q, n) != cnt.count_reg(q, n + 1):
@@ -741,8 +714,7 @@ def _singular_type_counts(bounds):
     "counting", "counting/regular-proportion-product",
     n_max=("proportion_n_max", 40),
 )
-def _regular_proportion_product(bounds):
-    n_max = bounds["n_max"]
+def _regular_proportion_product(n_max):
     for r in range(2, 10):
         for n in range(1, n_max + 1):
             yield
@@ -755,8 +727,7 @@ def _regular_proportion_product(bounds):
 # -- inequalities suite ---------------------------------------------------------------
 
 @prop("inequalities", "counting/cyc-at-most-reg", n_max=("n_max", 60))
-def _cyc_at_most_reg(bounds):
-    n_max = bounds["n_max"]
+def _cyc_at_most_reg(n_max):
     for r in range(2, 10):
         for n in range(1, n_max + 1):
             yield
@@ -769,9 +740,9 @@ def _cyc_at_most_reg(bounds):
 
 
 @prop("inequalities", "counting/nested-cycle-bound", m_max=("nested_m_max", 4))
-def _nested_cycle_bound(bounds):
+def _nested_cycle_bound(m_max):
     for r in (2, 3):
-        for m in range(1, bounds["m_max"] + 1):
+        for m in range(1, m_max + 1):
             n = m * r * r
             yield
             if not cnt.count_cyc(r * r, n) < cnt.count_reg(r, n):
@@ -779,8 +750,8 @@ def _nested_cycle_bound(bounds):
 
 
 @prop("inequalities", "counting/four-cycle-factor-two", m_max=("double_m_max", 15))
-def _four_cycle_factor_two(bounds):
-    for m in range(4, bounds["m_max"] + 1):
+def _four_cycle_factor_two(m_max):
+    for m in range(4, m_max + 1):
         n = 4 * m
         yield
         if not 2 * cnt.count_cyc(4, n) < cnt.count_reg(2, n):
@@ -792,8 +763,7 @@ def _four_cycle_factor_two(bounds):
 
 
 @prop("inequalities", "counting/merge-lower-bound", grids=("merge_grids", MERGE_GRIDS))
-def _merge_lower_bound(bounds):
-    grids = tuple(tuple(g) for g in bounds["grids"])
+def _merge_lower_bound(grids):
     for q, r, m in grids:
         n = m * q * r
         yield
@@ -807,8 +777,7 @@ def _merge_lower_bound(bounds):
     "inequalities", "counting/regular-over-uniform-types",
     grids=("merge_grids", MERGE_GRIDS),
 )
-def _regular_over_uniform_types(bounds):
-    grids = tuple(tuple(g) for g in bounds["grids"])
+def _regular_over_uniform_types(grids):
     for q, r, m in grids:
         n = m * q * r
         yield
@@ -822,8 +791,7 @@ def _regular_over_uniform_types(bounds):
     "inequalities", "counting/roots-over-uniform-types",
     grids=("roots_grids", ((2, 2, 1), (2, 2, 2), (3, 1, 1), (2, 3, 1))),
 )
-def _roots_over_uniform_types(bounds):
-    grids = tuple(tuple(g) for g in bounds["grids"])
+def _roots_over_uniform_types(grids):
     for q, l, m in grids:
         r = q**l
         n = m * q * r
@@ -835,8 +803,7 @@ def _roots_over_uniform_types(bounds):
 
 
 @prop("inequalities", "counting/padding-ratio", n_max=("padding_n_max", 7))
-def _padding_ratio(bounds):
-    n_max = bounds["n_max"]
+def _padding_ratio(n_max):
     for q in (2, 3):
         for n in range(1, n_max + 1):
             if (n + 1) % q != 0:
@@ -861,9 +828,7 @@ def _padding_ratio(bounds):
     "monotonicity", "counting/prime-power-monotonicity",
     n_max=("n_max", 40), r_values=("r_values", (2, 3, 4, 5, 8, 9)),
 )
-def _prime_power_monotonicity(bounds):
-    n_max = bounds["n_max"]
-    r_values = tuple(bounds["r_values"])
+def _prime_power_monotonicity(n_max, r_values):
     for r in r_values:
         counts = cnt.root_count_sequence(r, n_max + 1)
         probs = [Fraction(counts[n], factorial(n)) for n in range(n_max + 2)]
@@ -877,9 +842,8 @@ def _prime_power_monotonicity(bounds):
     "monotonicity", "counting/plateau-structure",
     n_max=("n_max", 40), r_values=("plateau_r_values", (2, 3, 4, 5, 7, 8, 9)),
 )
-def _plateau_structure(bounds):
-    n_max = bounds["n_max"]
-    for r in bounds["r_values"]:
+def _plateau_structure(n_max, r_values):
+    for r in r_values:
         q, l = prime_power_decomposition(r)
         counts = cnt.root_count_sequence(r, n_max + 1)
         probs = [Fraction(counts[n], factorial(n)) for n in range(n_max + 2)]
@@ -905,7 +869,7 @@ def _plateau_structure(bounds):
 
 
 @prop("monotonicity", "counting/non-prime-power-counterexample")
-def _non_prime_power_counterexample(bounds):
+def _non_prime_power_counterexample():
     p4, p5 = cnt.prob_root(6, 4), cnt.prob_root(6, 5)
     yield
     if p4 != Fraction(1, 6):
@@ -924,9 +888,9 @@ def _table_property(property_id: str, reference: dict) -> None:
     """Declare a check of ``cnt.prob_root`` against a frozen table."""
 
     @prop("tables", property_id, r_values=sorted(reference), n_max=12)
-    def check(bounds):
-        for r, row in sorted(reference.items()):
-            for n, text in enumerate(row, start=1):
+    def check(r_values, n_max):
+        for r in r_values:
+            for n, text in enumerate(reference[r][:n_max], start=1):
                 yield
                 expected = Fraction(text)
                 actual = cnt.prob_root(r, n)
@@ -940,12 +904,12 @@ _table_property("tables/prime-power-probabilities", REFERENCE_PROBABILITIES_PRIM
 
 # -- oeis suite -------------------------------------------------------------------
 
-def _sequence_check(bounds):
+def _sequence_check(oeis_id, upto):
     """The terms of the vendored b-file against its generator in
     ``oeis.GENERATORS``, as ``oeis.cross_check`` compares them."""
-    seq = oeis.fetch(bounds["oeis_id"], source="fixture")
-    _, generator = oeis.GENERATORS[bounds["oeis_id"]]
-    return (yield from oeis.term_checks(seq, generator, bounds["upto"]))
+    seq = oeis.fetch(oeis_id, source="fixture")
+    _, generator = oeis.GENERATORS[oeis_id]
+    return (yield from oeis.term_checks(seq, generator, upto))
 
 
 prop(
@@ -959,7 +923,7 @@ prop(
 
 
 @prop("oeis", "oeis/cache-roundtrip")
-def _cache_roundtrip(bounds):
+def _cache_roundtrip():
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -1001,14 +965,14 @@ def _tasks(suite_list, bounds) -> list[tuple[int, dict]]:
         for suite_id in ids
         for index, p in enumerate(_REGISTRY)
         if p.suite == suite_id
-        for instance_range in p.instance_ranges(bounds)
+        for instance_range in p.ranges(bounds)
     ]
 
 
 def _run_task(task) -> VerificationReport:
     index, instance_range = task
     p = _REGISTRY[index]
-    return run_property(p.property_id, instance_range, p.check(instance_range))
+    return run_property(p.property_id, instance_range, p.check(**instance_range))
 
 
 def run_suites(

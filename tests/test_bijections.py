@@ -364,6 +364,8 @@ WRAPPER_CHECKS = [
      "expected 1 break points, got 2"),
     (merge_cycle_class, ([(1, 2), (3, 4)], [9]), DomainError,
      "break point 9 is not in cycle (3, 4)"),
+    (from_nearly_regular, (parse("(1 3)_1 (2)", r=2),), DomainError,
+     "ground-set size 3 is not a multiple of r=2"),
 ]
 
 

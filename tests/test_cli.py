@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permroot import cli
 from permroot.cli import SCHEMAS, main
@@ -666,3 +669,125 @@ print(permroot.run_suites.__module__, len(permroot.suite_ids()), permroot.verify
         assert (code, err) == (0, "")
         assert len(out) >= shortest
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+# -- fuzzing argv ---------------------------------------------------------------
+
+@st.composite
+def fuzz_int(draw):
+    """An integer flag as argparse reads it: mostly a valid small value, else
+    a boundary (0, 1, negative), a word-size or a huge one; the huge ones are
+    past Python's int <-> str digit limit."""
+    kind = draw(st.integers(0, 9))
+    if kind < 7:
+        return str(draw(st.integers(2, 9)))
+    if kind == 7:
+        return str(draw(st.integers(-2, 1)))
+    if kind == 8:
+        return draw(st.sampled_from(["2147483647", "9223372036854775808", "-9223372036854775808"]))
+    return draw(st.sampled_from(["", "-"])) + "9" * draw(st.integers(13, 5000))
+
+
+@st.composite
+def fuzz_cycle_text(draw, colored=None):
+    """Cycle notation on at most 7 elements, mostly a permutation of [m],
+    sometimes with an odd entry; with no color, the first cycle colored (as
+    lambda-inv reads) or every cycle ("all", as Phi-inv reads), as asked or
+    else at random; or a short malformed string."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(alphabet="()_ 0123456789-,x", max_size=16))
+    elems = [str(e) for e in draw(st.permutations(range(1, draw(st.integers(0, 7)) + 1)))]
+    if elems and draw(st.integers(0, 4)) == 0:
+        elems[-1] = draw(fuzz_int())
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(elems) - 1, 1)), max_size=len(elems))))
+    pieces = [elems[i:j] for i, j in zip([0, *cuts], [*cuts, len(elems)]) if i < j]
+    if colored is None or draw(st.integers(0, 9)) == 0:
+        colored = draw(st.sampled_from([0, 1, "all"]))
+    colored = len(pieces) if colored == "all" else colored
+    colors = [f"_{draw(st.integers(-1, 4))}" for _ in pieces[:colored]]
+    colors += [""] * (len(pieces) - colored)
+    return " ".join(f"({' '.join(c)}){color}" for c, color in zip(pieces, colors))
+
+
+def _maybe(draw, flag, chance, values=fuzz_int()):
+    """``[flag, value]`` with probability about ``chance``, else nothing."""
+    if draw(st.integers(1, 10)) > 10 * chance:
+        return []
+    return [flag, draw(values)]
+
+
+@st.composite
+def fuzz_argv(draw):
+    """(argv, stdin) for map, root, count, prob or enumerate, drawn from the
+    CLI's own MAPS and FAMILIES and biased toward valid input: a family's own
+    flags are usually given and the others seldom.  n stays at most 7 where a
+    family is streamed or S_n is walked, and at most 60 for the exact counts."""
+    command = draw(st.sampled_from(["map", "root", "count", "prob", "enumerate"]))
+    stdin = ""
+    if command in ("map", "root"):
+        argv, colored = [command], 0
+        if command == "map":
+            name = draw(st.sampled_from(list(cli.MAPS)))
+            colored = {"lambda-inv": 1, "Phi-inv": "all"}.get(name, 0)
+            argv += [name, "--r", draw(fuzz_int())]
+            argv += _maybe(draw, "--x", 0.9 if name == "delta-inv" else 0.1)
+            argv += _maybe(draw, "--j", 0.9 if name == "psi" else 0.1)
+        else:
+            by_q = draw(st.integers(0, 3)) == 0
+            argv += _maybe(draw, "--r", 0.2 if by_q else 0.9)
+            argv += _maybe(draw, "--q", 0.9 if by_q else 0.1)
+            argv += _maybe(draw, "--l", 0.7 if by_q else 0.1)
+        text = fuzz_cycle_text(colored)
+        if draw(st.booleans()):
+            argv.append(draw(text))
+        else:
+            stdin = "".join(line + "\n" for line in draw(st.lists(text, max_size=3)))
+    elif command == "prob":
+        argv = ["prob", "--r", draw(fuzz_int()), "--n", str(draw(st.integers(-1, 60)))]
+    else:
+        family = draw(st.sampled_from(list(cli.FAMILIES)))
+        argv = [command, "--family", family]
+        method = draw(st.sampled_from([None, None, "formula", "recurrence", "enumerate", "all"]))
+        streamed = command == "enumerate" or method in ("enumerate", "all")
+        argv += ["--n", str(draw(st.integers(-1, 7 if streamed else 60)))]
+        if command == "count" and method is not None:
+            argv += ["--method", method]
+        own = {missing.split()[0] for _, _, missing in cli.FAMILIES[family].flags}
+        for flag in ("--r", "--q", "--l", "--k"):
+            argv += _maybe(draw, flag, 0.9 if flag in own else 0.1)
+        rho = st.sampled_from(["", "2", "2^2,4", "3^2", "2^", "x"])
+        argv += _maybe(draw, "--rho", 0.9 if "--rho" in own else 0.1, rho)
+        argv += _maybe(draw, "--bound", 0.1)
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--format", "json"]
+    return argv, stdin
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(fuzz_argv())
+@example((["map", "lambda-inv", "--r", "2", "(1 3)_1 (2)"], ""))  # found by a wider run
+def test_fuzzed_argv_answers_or_exits_2(case):
+    """Nothing but argparse's own exit leaves ``cli.main``; the exit code is
+    0 or 2, an answer prints nothing on stderr, and every exit-2 line is an
+    ``error:`` line or argparse usage."""
+    argv, stdin = case
+    err = io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code, usage = main(argv), False
+            except SystemExit as exc:
+                code, usage = exc.code, True
+    finally:
+        sys.stdin = saved_stdin
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), (argv, code, lines)
+    if usage:
+        assert lines[0].startswith("usage: permroot"), (argv, lines)
+        assert re.match(r"permroot( \S+)?: error: ", lines[-1]), (argv, lines)
+    elif code == 2:
+        assert lines and all(line.startswith("error:") for line in lines), (argv, lines)
+    else:
+        assert lines == [], (argv, lines)

@@ -219,6 +219,46 @@ def test_failing_reports_unchanged(monkeypatch, suite, property_id, owner, attr,
     assert [(r.counts_checked, r.counterexample) for r in reports] == expected
 
 
+def _merge_fixed_points(cycles):
+    """Canonical cycles with the first two fixed points after the first cycle
+    merged into a 2-cycle; unchanged when there are fewer than two."""
+    fixed = [c for c in cycles[1:] if len(c) == 1][:2]
+    if len(fixed) < 2:
+        return cycles
+    return tuple(sorted([c for c in cycles if c not in fixed] + [fixed[0] + fixed[1]]))
+
+
+def _split_two_cycle(cycles):
+    """Inverse of ``_merge_fixed_points`` on its image at r = 2, where the
+    cycles after the first have odd lengths."""
+    pair = next((c for c in cycles[1:] if len(c) == 2), None)
+    if pair is None:
+        return cycles
+    return tuple(sorted([c for c in cycles if c != pair] + [pair[:1], pair[1:]]))
+
+
+@pytest.mark.parametrize(
+    "property_id", ["bijections/grow-shrink-roundtrip", "bijections/odd-even-refinement"]
+)
+def test_grow_into_singular_rest_fails(monkeypatch, property_id):
+    """At r = 2 a grow that leaves a 2-cycle after the first cycle, undone by
+    its shrink, is injective and keeps the first-cycle length, so only the
+    check that the image lies in Q_{r,k+1}(n) catches it."""
+    grow, shrink = bijections._grow_first, bijections._shrink_first
+    monkeypatch.setattr(
+        bijections, "_grow_first",
+        lambda cycles, r: _merge_fixed_points(grow(cycles, r)) if r == 2 else grow(cycles, r),
+    )
+    monkeypatch.setattr(
+        bijections, "_shrink_first",
+        lambda cycles, r: shrink(_split_two_cycle(cycles) if r == 2 else cycles, r),
+    )
+    reports = [r for r in run_suite("bijections", REDUCED_BOUNDS) if r.property_id == property_id]
+    assert [(r.counts_checked, r.counterexample) for r in reports] == [
+        (4, "grow((1) (2) (3) (4), r=2) left a singular cycle after the first")
+    ]
+
+
 # p(m), the number of partitions of m, for m = 0..12
 PARTITION_NUMBERS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
 
@@ -248,8 +288,8 @@ class TestReports:
             VerificationReport("x", {}, "pass", None, 0)
 
     def test_deterministic_bytes_modulo_wall_time(self):
-        a = reports_to_json(run_suite("tables"), include_wall_time=False)
-        b = reports_to_json(run_suite("tables"), include_wall_time=False)
+        a = normalize_report_bytes(reports_to_json(run_suite("tables")))
+        b = normalize_report_bytes(reports_to_json(run_suite("tables")))
         assert a == b
 
     def test_phi_suite_bounds_override(self):
@@ -262,8 +302,8 @@ class TestReports:
         serial = run_suites(["tables", "oeis"], jobs=1)
         parallel = run_suites(["tables", "oeis"], jobs=2)
         assert [r.property_id for r in serial] == [r.property_id for r in parallel]
-        assert reports_to_json(serial, include_wall_time=False) == reports_to_json(
-            parallel, include_wall_time=False
+        assert normalize_report_bytes(reports_to_json(serial)) == normalize_report_bytes(
+            reports_to_json(parallel)
         )
 
 
