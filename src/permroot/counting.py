@@ -7,18 +7,20 @@ types, and at small sizes enumeration) so the routes can be checked against
 one another.
 
 Root counts, enriched cycle permutations and uniform-type families all come
-from one DP over cycle types, ``_type_dp``.  It works on EGF coefficients
-scaled by n!, so they stay integers: one exponential-formula pass handles
-every cycle length with free multiplicity (one small multiply-add per term
-and one exact division per size), then one convolution per length whose
-multiplicity must be a multiple of a step s > 1 (one exact division by a
-small integer per term).  No binomial or factorial is recomputed per term.
+from one DP over cycle types, on EGF coefficients scaled by n! so that they
+stay integers.  Its free pass (an exponential-formula recurrence) takes every
+cycle length with free multiplicity; its bunched pass (one in-place
+convolution per length) every length whose multiplicity must be a multiple
+of a step s > 1.  ``root_count_sequence`` runs both on one array and
+unscales every row; a single count runs them on separate arrays and combines
+them at row n only.  No binomial or factorial is recomputed per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import mul
 
 from .errors import DomainError, check_modulus, check_size
 from .families import FamilySpec, enumerate_family
@@ -126,49 +128,47 @@ def count_cyc(r: int, n: int, method: str = "formula") -> int:
 
 # -- dynamic programming over cycle types --------------------------------------
 
-def _type_dp(n: int, length_specs) -> list[int]:
-    """Count permutations by admissible cycle types.
-
-    ``length_specs`` yields (length, step, weight): multiplicities of that
-    cycle length are restricted to multiples of ``step`` and each cycle
-    contributes a factor ``weight``.  Lengths not listed are forbidden.
-    Returns dp where dp[u] counts weighted permutations of a u-element set.
-
-    The DP runs on the scaled EGF coefficients A[u] = dp[u] * n!/u!, which
-    are integers because n!/u! = (u+1)...n is.
-
-    * Free pass: all step-1 lengths at once.  Their EGF is
-      exp(sum_L w_L x^L/L); differentiating gives m a_m = sum_L w_L a_{m-L}
-      on its coefficients a_m = dp[m]/m!, which reads
-      m A[m] = sum_L w_L A[m-L].  The division by m is exact because A[m]
-      is an integer.
-    * Bunched pass: for each length with step s > 1, A[u+jL] gains
-      A[u] w^j / (L^j j!) for j = s, 2s, ... while u + jL <= n.  Each term
-      t_j is an integer: (u+1)...(u+jL) divides n!/u! and is a multiple of
-      (jL)!, which L^j j! divides (the quotient counts the ways to split jL
-      elements into j L-cycles).  So t_{j+s} = t_j w^s / (L^s (j+1)...(j+s))
-      is an exact division by a small integer.  Sources u are visited from
-      the top down, so A is updated in place.
-
-    Finally dp[u] = A[u] / (n!/u!), exact by the definition of A.
-    """
+def _split_specs(n: int, length_specs) -> tuple[list, list]:
+    """The free specs (step 1, by length) and the bunched ones (step > 1).
+    A spec whose smallest bunch does not fit in n cannot contribute; dropping
+    it here also keeps a huge step out of length**step."""
     free = []
     bunched = []
-    for length, step, weight in length_specs:
-        # a spec whose smallest bunch does not fit in n cannot contribute;
-        # dropping it here also keeps a huge step out of length**step
+    for spec in length_specs:
+        length, step, _ = spec
         if step * length <= n:
-            (free if step == 1 else bunched).append((length, step, weight))
+            (free if step == 1 else bunched).append(spec)
     free.sort()
-    scaled = [0] * (n + 1)
-    scaled[0] = factorial(n)
+    return free, bunched
+
+
+def _free_pass(n: int, free) -> list[int]:
+    """A for the step-1 lengths alone, from A[0] = n!.  Their EGF is
+    exp(sum_L w_L x^L/L); differentiating gives m a_m = sum_L w_L a_{m-L} on
+    its coefficients a_m = dp[m]/m!, which reads m A[m] = sum_L w_L A[m-L].
+    The division by m is exact because A[m] is an integer."""
+    scaled = [factorial(n)] + [0] * n
     for m in range(1, n + 1):
         total = 0
         for length, _, weight in free:
             if length > m:
                 break
-            total += weight * scaled[m - length]
+            total += scaled[m - length] if weight == 1 else weight * scaled[m - length]
         scaled[m] = total // m
+    return scaled
+
+
+def _bunched_pass(scaled: list[int], bunched) -> list[int]:
+    """Adds the lengths with step s > 1 to A in place and returns it.
+
+    For each such length, A[u+jL] gains A[u] w^j / (L^j j!) for j = s, 2s,
+    ... while u + jL <= n.  Each term t_j is an integer: (u+1)...(u+jL)
+    divides n!/u! and is a multiple of (jL)!, which L^j j! divides (the
+    quotient counts the ways to split jL elements into j L-cycles).  So
+    t_{j+s} = t_j w^s / (L^s (j+1)...(j+s)) is an exact division by a small
+    integer.  Sources u are visited from the top down, so A is updated in
+    place, and zero sources are skipped."""
+    n = len(scaled) - 1
     for length, step, weight in bunched:
         span = step * length
         length_pow = length**step
@@ -182,8 +182,32 @@ def _type_dp(n: int, length_specs) -> list[int]:
             if not term:
                 continue
             for v, divisor in zip(range(u + span, n + 1, span), divisors):
-                term = term * weight_pow // divisor
+                term = (term if weight_pow == 1 else term * weight_pow) // divisor
                 scaled[v] += term
+    return scaled
+
+
+def _type_dp(n: int, length_specs) -> list[int]:
+    """Count permutations by admissible cycle types.
+
+    ``length_specs`` yields (length, step, weight): multiplicities of that
+    cycle length are restricted to multiples of ``step`` and each cycle
+    contributes a factor ``weight``.  Lengths not listed are forbidden.
+    Returns dp where dp[u] counts weighted permutations of a u-element set.
+
+    The DP runs on the scaled EGF coefficients A[u] = dp[u] * n!/u!, which
+    are integers because n!/u! = (u+1)...n is, in two passes on one array:
+    ``_free_pass`` for the step-1 lengths, then ``_bunched_pass`` for the
+    others.  Finally dp[u] = A[u] / (n!/u!), exact by the definition of A.
+
+    ``_type_dp_row`` needs dp[n] = A[n] only.  The EGF is the product of its
+    free and bunched parts, so it runs the passes apart (E and B, both from
+    n!) and combines row n alone: dp[n] = sum_k E[k] B[n-k] / n!.  Apart,
+    the bunched pass walks a sparse array, not the dense one the free pass
+    leaves, and skips its zero sources.
+    """
+    free, bunched = _split_specs(n, length_specs)
+    scaled = _bunched_pass(_free_pass(n, free), bunched)
     dp = [0] * (n + 1)
     scale = 1
     for u in range(n, -1, -1):
@@ -192,16 +216,24 @@ def _type_dp(n: int, length_specs) -> list[int]:
     return dp
 
 
+def _type_dp_row(n: int, length_specs) -> int:
+    """``_type_dp(n, length_specs)[n]``, computed at row n only."""
+    free, bunched = _split_specs(n, length_specs)
+    free_part = _free_pass(n, free)
+    if not free or not bunched:  # one array holds the whole DP
+        return _bunched_pass(free_part, bunched)[n]
+    bunched_part = _bunched_pass([free_part[0]] + [0] * n, bunched)
+    return sum(map(mul, free_part, reversed(bunched_part))) // free_part[0]
+
+
 def count_enriched_cyc(r: int, n: int) -> int:
     """|Cyc*_r(n)|: r-cycle permutations of [n] with each cycle colored by
     one of r-1 colors.  Equals |Reg_r(n)| when r divides n; zero otherwise."""
     _check_params(r, n)
-    if n == 0:
-        return 1
     if n % r != 0:
         return 0
     specs = [(length, 1, r - 1) for length in range(r, n + 1, r)]
-    return _type_dp(n, specs)[n]
+    return _type_dp_row(n, specs)
 
 
 def count_cyc_qr(q: int, r: int, n: int) -> int:
@@ -209,12 +241,10 @@ def count_cyc_qr(q: int, r: int, n: int) -> int:
     multiple of q and every length occurs a multiple of r times."""
     check_modulus(q, "q")
     _check_params(r, n)
-    if n == 0:
-        return 1
     if n % (q * r) != 0:
         return 0
     specs = [(length, r, 1) for length in range(q, n + 1, q)]
-    return _type_dp(n, specs)[n]
+    return _type_dp_row(n, specs)
 
 
 def count_q_family(r: int, k: int, n: int) -> int:
@@ -266,22 +296,24 @@ def count_S_rho_q(rho: CycleType, q: int, n: int) -> int:
 # -- root counting --------------------------------------------------------------
 
 def root_count_sequence(r: int, upto: int) -> list[int]:
-    """|S_n^r| for n = 0..upto, for any r >= 2 and any upto, in one DP pass.
+    """|S_n^r| for n = 0..upto, for any r >= 2 and any upto, in one DP.
 
     The number of cycles of each length L must be a multiple of
     ``smallest_bunch_size(L, r)`` (see ``roots``).
     """
     _check_params(r, upto)
-    specs = [
-        (length, smallest_bunch_size(length, r), 1) for length in range(1, upto + 1)
-    ]
-    return _type_dp(upto, specs)
+    return _type_dp(upto, _root_specs(r, upto))
+
+
+def _root_specs(r: int, n: int) -> list:
+    return [(length, smallest_bunch_size(length, r), 1) for length in range(1, n + 1)]
 
 
 def count_roots(r: int, n: int) -> int:
     """|S_n^r|, the number of permutations of [n] having an r-th root,
-    exact for any r >= 2 and any n."""
-    return root_count_sequence(r, n)[n]
+    exact for any r >= 2 and any n; computes row n only."""
+    _check_params(r, n)
+    return _type_dp_row(n, _root_specs(r, n))
 
 
 def prob_root(r: int, n: int) -> Fraction:

@@ -7,6 +7,8 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import jsonschema
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from permroot import cli
 from permroot.cli import SCHEMAS, main
+from permroot.counting import root_count_sequence
 from permroot.families import FamilySpec, enumerate_family
 from permroot.report import write_reports
 from permroot.verify import run_suite
@@ -329,6 +332,13 @@ class TestCountProb:
         assert code == 0 and out.strip() == "110/243"
         code, out, _ = run_cli(capsys, "prob", "--r", "2", "--n", "1")
         assert code == 0 and out.strip() == "1"
+
+    def test_single_counts_match_sequence(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--family", "roots", "--r", "2", "--n", "400")
+        assert code == 0 and out.strip() == str(root_count_sequence(2, 400)[400])
+        code, out, _ = run_cli(capsys, "prob", "--r", "6", "--n", "60")
+        expected = Fraction(root_count_sequence(6, 60)[60], factorial(60))
+        assert code == 0 and out.strip() == f"{expected.numerator}/{expected.denominator}"
 
     def test_prob_json_schema(self, capsys):
         code, payload, _ = run_json(capsys, "prob", "--r", "2", "--n", "12")

@@ -317,11 +317,23 @@ class TestRootCounts:
                     assert seq[n + 1] == scaled, (r, n)
 
     def test_rejects_bad_parameters(self):
-        for call in (count_roots, root_count_sequence):
-            with pytest.raises(DomainError):
-                call(1, 5)
-            with pytest.raises(DomainError):
-                call(2, -1)
+        # the single counts raise the sequence's DomainError, text included
+        for args in ((1, 5), (True, 5), (2, -1), (2, "5")):
+            with pytest.raises(DomainError) as expected:
+                root_count_sequence(*args)
+            for call in (count_roots, prob_root):
+                with pytest.raises(DomainError) as raised:
+                    call(*args)
+                assert str(raised.value) == str(expected.value), (call, args)
+
+    def test_row_n_matches_sequence(self):
+        # count_roots combines the free and bunched passes at row n alone;
+        # root_count_sequence runs them on one array over every row
+        sizes = [*range(41), *range(52, 301, 13)]
+        for r in (*range(2, 13), 16, 25, 27, 3**50):
+            seq = root_count_sequence(r, 300)
+            for n in sizes:
+                assert count_roots(r, n) == seq[n], (r, n)
 
 
 class TestTypeDP:
