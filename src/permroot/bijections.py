@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError, InvalidPermutationError, check_modulus
+from .errors import DomainError, InvalidPermutationError, check_int
+from .families import _regular
 from .permutation import Cycle, EnrichedPermutation, Permutation
 
 
@@ -144,20 +145,15 @@ def _merge(cycles: Sequence[Cycle], break_points: Sequence[int]) -> Cycle:
     return merged[i:] + merged[:i]
 
 
-def _regular(cycles: Sequence[Cycle], r: int) -> bool:
-    """No cycle length is a multiple of r; r is already checked."""
-    return all(len(c) % r for c in cycles)
-
-
 def _require_regular(sigma: Permutation, r: int) -> None:
-    if not _regular(sigma.cycles, r):
+    if not _regular(map(len, sigma.cycles), r):
         raise DomainError(f"{sigma} is not {r}-regular")
 
 
 def extract_element(sigma: Permutation, r: int) -> DeltaOutput:
     """Split an r-regular permutation of S (|S| not a multiple of r) into a
     distinguished element x and an r-regular permutation of S minus x."""
-    check_modulus(r, "r")
+    check_int(r, "r", 2)
     if sigma.size % r == 0:  # also rejects the empty permutation
         raise DomainError(f"ground-set size {sigma.size} is a multiple of r={r}")
     _require_regular(sigma, r)
@@ -168,9 +164,8 @@ def extract_element(sigma: Permutation, r: int) -> DeltaOutput:
 def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
     """Inverse of ``extract_element``: place x as the last entry of the first
     cycle of the result.  Requires |pi| + 1 not a multiple of r."""
-    check_modulus(r, "r")
-    if not isinstance(x, int) or x < 1:
-        raise DomainError(f"distinguished element must be a positive integer, got {x!r}")
+    check_int(r, "r", 2)
+    check_int(x, "distinguished element", 1)
     if x in pi.ground_set():
         raise DomainError(f"element {x} already occurs in {pi}")
     if (pi.size + 1) % r == 0:
@@ -182,14 +177,13 @@ def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
 def extend_regular(sigma: Permutation, j: int, r: int) -> Permutation:
     """The bijection Reg_r(n) x [n+1] -> Reg_r(n+1) (n+1 not a multiple of r):
     relabel [n+1] minus j order-preservingly onto [n], undone by insertion."""
-    check_modulus(r, "r")
+    check_int(r, "r", 2)
     n = sigma.size
     if sigma.ground_set() != frozenset(range(1, n + 1)):
         raise DomainError(f"ground set is not [{n}]")
     if (n + 1) % r == 0:
         raise DomainError(f"n+1={n + 1} is a multiple of r={r}")
-    if not isinstance(j, int) or not 1 <= j <= n + 1:
-        raise DomainError(f"j must lie in 1..{n + 1}, got {j!r}")
+    check_int(j, "j", 1, n + 1)
     _require_regular(sigma, r)
     relabeled = sigma._relabel_increasing([e for e in range(1, n + 2) if e != j])
     return Permutation._from_canonical(_insert(j, relabeled.cycles, r))
@@ -201,13 +195,13 @@ def grow_first_cycle(sigma: Permutation, r: int) -> Permutation:
     """Move one element from the r-regular remainder to the end of the cycle
     containing the minimum (first-cycle length k -> k+1).  Requires that
     n - k is not a multiple of r."""
-    check_modulus(r, "r")
+    check_int(r, "r", 2)
     if not sigma.cycles:
         raise DomainError("cannot grow the empty permutation")
     k = len(sigma.cycles[0])
     if (sigma.size - k) % r == 0:
         raise DomainError(f"n-k={sigma.size - k} is a multiple of r={r}")
-    if not _regular(sigma.cycles[1:], r):
+    if not _regular(map(len, sigma.cycles[1:]), r):
         raise DomainError("cycles beyond the first must be r-regular")
     return Permutation._from_canonical(_grow_first(sigma.cycles, r))
 
@@ -215,7 +209,7 @@ def grow_first_cycle(sigma: Permutation, r: int) -> Permutation:
 def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
     """Inverse of ``grow_first_cycle``: drop the last entry of the first
     cycle and re-insert it into the remainder."""
-    check_modulus(r, "r")
+    check_int(r, "r", 2)
     if not pi.cycles:
         raise DomainError("cannot shrink the empty permutation")
     length = len(pi.cycles[0])
@@ -223,7 +217,7 @@ def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
         raise DomainError("first cycle has no entry to remove")
     if (pi.size - length + 1) % r == 0:
         raise DomainError(f"n-k={pi.size - length + 1} is a multiple of r={r}")
-    if not _regular(pi.cycles[1:], r):
+    if not _regular(map(len, pi.cycles[1:]), r):
         raise DomainError("cycles beyond the first must be r-regular")
     return Permutation._from_canonical(_shrink_first(pi.cycles, r))
 
@@ -233,7 +227,7 @@ def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
 def to_nearly_regular(sigma: Permutation, r: int) -> EnrichedPermutation:
     """Grow the first cycle of an r-regular permutation of a set of size rn
     to length r(k+1) and color it with the residue i it started from."""
-    check_modulus(r, "r")
+    check_int(r, "r", 2)
     if not sigma.cycles:
         raise DomainError("the empty permutation has no first cycle to grow")
     if sigma.size % r != 0:
@@ -276,7 +270,7 @@ def to_enriched_cycles(sigma: Permutation, r: int) -> EnrichedPermutation:
     singular cycles by repeatedly growing-and-peeling the first cycle.  The
     cycle containing the minimum has length r(k+1) when the input first
     cycle had length rk+i, and carries color i."""
-    check_modulus(r, "r")
+    check_int(r, "r", 2)
     if sigma.size % r != 0:
         raise DomainError(f"ground-set size {sigma.size} is not a multiple of r={r}")
     _require_regular(sigma, r)
@@ -319,6 +313,8 @@ def merge_cycle_class(
     if length < 1 or any(len(c) != length for c in cycs):
         raise DomainError("cycles must all have the same positive length")
     flat = [e for c in cycs for e in c]
+    for e in flat:
+        check_int(e, "cycle entry", 1)
     if len(set(flat)) != len(flat):
         raise InvalidPermutationError("cycles are not disjoint")
     if len(break_points) != len(cycs) - 1:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 from . import bijections as bij
 from . import counting as cnt
 from . import oeis
-from .errors import DomainError, PermrootError, check_modulus
+from .errors import DomainError, PermrootError, check_int
 from .families import (
     DEFAULT_ENUMERATION_BOUND,
     FamilySpec,
@@ -286,7 +286,7 @@ def _cmd_map(args) -> int:
         raise PermrootError("delta-inv needs --x")
     if args.name == "psi" and args.j is None:
         raise PermrootError("psi needs --j")
-    check_modulus(args.r, "r")
+    check_int(args.r, "r", 2)
 
     def answer(text):
         out = MAPS[args.name](text, args)
@@ -303,10 +303,9 @@ MAX_DEGREE_BITS = 4096
 
 def _check_q_l(args) -> None:
     """--q and --l are checked even where --r wins or nothing reads them."""
-    if args.l < 1:
-        raise DomainError(f"l must be an integer >= 1, got {args.l}")
+    check_int(args.l, "l", 1)
     if args.q is not None:
-        check_modulus(args.q, "q")
+        check_int(args.q, "q", 2)
 
 
 def _degree(args) -> int | None:
@@ -326,7 +325,7 @@ def _cmd_root(args) -> int:
     r = _degree(args)
     if r is None:
         raise PermrootError("root needs --r (or --q with --l)")
-    check_modulus(r, "root degree")
+    check_int(r, "root degree", 2)
 
     def answer(text):
         sigma = parse(text)

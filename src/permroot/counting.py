@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from operator import mul
 
-from .errors import DomainError, check_modulus, check_size
+from .errors import DomainError, check_int
 from .families import FamilySpec, enumerate_family
 from .permutation import CycleType
 from .roots import smallest_bunch_size
@@ -32,8 +32,8 @@ _METHODS = ("formula", "recurrence", "enumerate")
 
 def falling_factorial(x: int, m: int) -> int:
     """x (x-1) ... (x-m+1); the empty product for m = 0."""
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"falling factorial needs m >= 0, got {m!r}")
+    check_int(x, "x")
+    check_int(m, "m", 0)
     out = 1
     for j in range(m):
         out *= x - j
@@ -42,8 +42,7 @@ def falling_factorial(x: int, m: int) -> int:
 
 def double_factorial(k: int) -> int:
     """k (k-2) (k-4) ... down to 1 or 2; defined as 1 for k in {-1, 0}."""
-    if not isinstance(k, int) or k < -1:
-        raise DomainError(f"double factorial needs k >= -1, got {k!r}")
+    check_int(k, "k", -1)
     out = 1
     while k > 1:
         out *= k
@@ -67,8 +66,8 @@ def _exact_div(a: int, b: int) -> int:
 
 
 def _check_params(r: int, n: int) -> None:
-    check_modulus(r, "r")
-    check_size(n)
+    check_int(r, "r", 2)
+    check_int(n, "n", 0)
 
 
 def _check_method(method: str) -> None:
@@ -239,7 +238,7 @@ def count_enriched_cyc(r: int, n: int) -> int:
 def count_cyc_qr(q: int, r: int, n: int) -> int:
     """|Cyc_{q,r}(n)|: permutations of [n] where every cycle length is a
     multiple of q and every length occurs a multiple of r times."""
-    check_modulus(q, "q")
+    check_int(q, "q", 2)
     _check_params(r, n)
     if n % (q * r) != 0:
         return 0
@@ -250,11 +249,7 @@ def count_cyc_qr(q: int, r: int, n: int) -> int:
 def count_q_family(r: int, k: int, n: int) -> int:
     """|Q_{r,k}(n)|: permutations of [n] whose cycle containing 1 has length
     exactly k, all other cycles r-regular."""
-    _check_params(r, n)
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must lie in 1..{n}, got {k!r}")
-    if k > n:
-        raise DomainError(f"need n >= {k} for a first cycle of length {k}")
+    FamilySpec.first_cycle(r, k, n)  # checks r, k and n as the family does
     return falling_factorial(n - 1, k - 1) * count_reg(r, n - k)
 
 
@@ -270,11 +265,8 @@ def count_AP(n: int, k: int, parity: str) -> int:
     |P_{n,2k}| (parity "even": 1 in a 2k-cycle, all other cycles odd)."""
     if parity not in ("odd", "even"):
         raise DomainError(f"parity must be 'odd' or 'even', got {parity!r}")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    j = 2 * k - 1 if parity == "odd" else 2 * k
-    if not isinstance(n, int) or n < j:
-        raise DomainError(f"need n >= {j} for a first cycle of length {j}")
+    family = FamilySpec.odd_with_first if parity == "odd" else FamilySpec.even_first
+    j = family(n, k).k  # the family checks k >= 1 and n >= j
     m = n - j
     if m % 2 == 0:
         return _exact_div(factorial(n - 1), factorial(m)) * double_factorial(m - 1) ** 2
@@ -284,8 +276,8 @@ def count_AP(n: int, k: int, parity: str) -> int:
 def count_S_rho_q(rho: CycleType, q: int, n: int) -> int:
     """|S_{rho,q}(n)|: permutations of [n] whose q-singular part has cycle
     type rho; the q-regular remainder is free."""
-    check_modulus(q, "q")
-    check_size(n)
+    check_int(q, "q", 2)
+    check_int(n, "n", 0)
     if any(ln % q != 0 for ln in rho.lengths()):
         raise DomainError(f"type {rho} contains a q-regular length (q={q})")
     if rho.total > n:

@@ -1,7 +1,9 @@
-"""Exception types raised by permroot.
+"""Exception types raised by permroot, and its one integer validator.
 
 Every precondition violation surfaces as one of these; the library never
-aborts the process on bad input.
+aborts the process on bad input.  Integer parameters (degrees, moduli,
+sizes, lengths, exponents, elements) are checked by ``check_int``, which
+refuses ``bool`` and every non-``int`` with a ``DomainError``.
 """
 
 
@@ -31,13 +33,17 @@ class SequenceLookupError(PermrootError, RuntimeError):
     """An OEIS b-file could not be fetched or parsed."""
 
 
-def check_modulus(value, name: str) -> None:
-    """Raise DomainError unless ``value`` is an integer >= 2."""
-    if not isinstance(value, int) or value < 2:
-        raise DomainError(f"{name} must be an integer >= 2, got {value!r}")
-
-
-def check_size(n) -> None:
-    """Raise DomainError unless ``n`` is an integer >= 0."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+def check_int(value, name: str, low: int | None = None, high: int | None = None) -> None:
+    """Raise DomainError unless ``value`` is an int, not a bool, with
+    low <= value (when low is given) and value <= high (when high is given;
+    then low must be given too)."""
+    if (
+        # an exact int, the common case, passes the type test in one comparison
+        (value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, int)))
+        or (low is not None and value < low)
+        or (high is not None and value > high)
+    ):
+        if high is not None:
+            raise DomainError(f"{name} must lie in {low}..{high}, got {value!r}")
+        bound = "" if low is None else f" >= {low}"
+        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")

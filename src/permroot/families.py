@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import roots
-from .errors import DomainError, EnumerationBoundError, check_modulus, check_size
+from .errors import DomainError, EnumerationBoundError, check_int
 from .permutation import CycleType, EnrichedPermutation, Permutation
 
 DEFAULT_ENUMERATION_BOUND = 10
@@ -44,16 +44,16 @@ class FamilySpec:
     def __post_init__(self):
         if self.tag not in _FAMILIES:
             raise DomainError(f"unknown family tag {self.tag!r}")
-        check_size(self.n)
+        check_int(self.n, "n", 0)
         params, _ = _FAMILIES[self.tag]
         for name in params:  # in the order listed: cyc-qr checks q before r
             if name in ("r", "q"):
-                check_modulus(getattr(self, name), name)
+                check_int(getattr(self, name), name, 2)
         if "k" in params:
-            if not isinstance(self.k, int) or self.k < 1:
-                raise DomainError(f"k must be a positive integer, got {self.k!r}")
+            check_int(self.k, "k")
             if self.k > self.n:
                 raise DomainError(f"need n >= {self.k} for a first cycle of length {self.k}")
+            check_int(self.k, "k", 1, self.n)
         if "rho" in params:
             if self.rho is None:
                 raise DomainError("singular-type family needs a cycle type rho")
@@ -81,18 +81,18 @@ class FamilySpec:
     @classmethod
     def odd_with_first(cls, n: int, k: int) -> "FamilySpec":
         """A_{n,2k-1} = Q_{2,2k-1}(n): every cycle odd, 1 in a (2k-1)-cycle."""
-        return cls._first_cycle_r2(n, k, 2 * k - 1)
+        return cls._first_cycle_r2(n, k, 1)
 
     @classmethod
     def even_first(cls, n: int, k: int) -> "FamilySpec":
         """P_{n,2k} = Q_{2,2k}(n): 1 in a 2k-cycle, every other cycle odd."""
-        return cls._first_cycle_r2(n, k, 2 * k)
+        return cls._first_cycle_r2(n, k, 0)
 
     @classmethod
-    def _first_cycle_r2(cls, n: int, k: int, length: int) -> "FamilySpec":
-        if not isinstance(k, int) or k < 1:
-            raise DomainError(f"k must be a positive integer, got {k!r}")
-        return cls.first_cycle(2, length, n)
+    def _first_cycle_r2(cls, n: int, k: int, odd: int) -> "FamilySpec":
+        """Q_{2,2k-odd}(n), for odd in {0, 1}."""
+        check_int(k, "k", 1)
+        return cls.first_cycle(2, 2 * k - odd, n)
 
     @classmethod
     def uniform_multiples(cls, q: int, r: int, n: int) -> "FamilySpec":
@@ -149,14 +149,14 @@ _FAMILIES = {
 # -- predicates on whole permutations (any ground set) ----------------------
 
 def is_regular(p: Permutation, r: int) -> bool:
-    check_modulus(r, "r")
+    check_int(r, "r", 2)
     return _regular(p.cycle_lengths(), r)
 
 
 def is_nearly_regular(p: Permutation, r: int) -> bool:
     """Every cycle regular except the one containing the ground-set minimum,
     which is singular.  False for the empty permutation."""
-    check_modulus(r, "r")
+    check_int(r, "r", 2)
     return _nearly_regular(p.cycle_lengths(), r)
 
 
@@ -290,6 +290,7 @@ def enumerate_family(
     Every prefix (the first n - m images, m = min(n, _TAIL)) is contracted
     to a signature, whose m! completions are classified once per process;
     the membership test then runs once per key, and only members get cycles."""
+    check_int(bound, "bound", 0)
     if spec.n > bound:
         raise EnumerationBoundError(f"n={spec.n} exceeds the enumeration bound {bound}")
     if spec.n > _MAX_N:
@@ -319,13 +320,13 @@ def enumerate_family(
 
 def enumerate_regular_on(elements, r: int) -> Iterator[Permutation]:
     """r-regular permutations of an arbitrary ground set, by order-preserving
-    relabeling of the enumeration over [n]."""
-    elems = sorted(set(elements))
+    relabeling of the enumeration over [n].  The labels must be distinct
+    positive integers."""
+    elems = Permutation((e,) for e in elements).elements()
     members = enumerate_family(FamilySpec.regular(r, len(elems)))
-    if elems == list(range(1, len(elems) + 1)):
+    if elems == tuple(range(1, len(elems) + 1)):
         yield from members
         return
-    Permutation((e,) for e in elems)  # the labels must be positive integers
     for p in members:
         yield p._relabel_increasing(elems)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import counting
-from .errors import DomainError, SequenceLookupError
+from .errors import DomainError, SequenceLookupError, check_int
 from .report import VerificationReport, run_property
 
 CACHE_DIR_ENV = "PERMROOT_CACHE_DIR"
@@ -176,6 +176,7 @@ def term_checks(seq: SequenceRef, generator: Callable[[int], int], upto: int):
     """A property check (see ``report.run_property``): compares
     ``generator(index)`` with every sequence term of index <= upto, yields
     once per term compared and returns the first mismatch, or None."""
+    check_int(upto, "upto")
     if upto > seq.max_index:
         raise DomainError(
             f"{seq.oeis_id} has terms up to index {seq.max_index}, requested {upto}"

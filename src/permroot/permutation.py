@@ -18,7 +18,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CycleNotationError, DomainError, InvalidPermutationError, check_modulus
+from .errors import CycleNotationError, DomainError, InvalidPermutationError, check_int
 
 Cycle = tuple[int, ...]
 
@@ -74,10 +74,10 @@ class Permutation:
 
     @classmethod
     def identity(cls, elements: Iterable[int]) -> "Permutation":
-        elems = sorted(set(elements))
-        if elems and elems[0] < 1:
-            raise InvalidPermutationError("ground-set elements must be positive integers")
-        return cls._from_canonical(tuple((e,) for e in elems))
+        elems = list(elements)
+        for e in elems:  # before set(), which would merge True into 1
+            check_int(e, "ground-set element", 1)
+        return cls._from_canonical(tuple((e,) for e in sorted(set(elems))))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int]) -> "Permutation":
@@ -147,8 +147,7 @@ class Permutation:
 
     def power(self, e: int) -> "Permutation":
         """The e-th compositional power, e >= 0; power(0) is the identity."""
-        if not isinstance(e, int) or e < 0:
-            raise DomainError(f"exponent must be a nonnegative integer, got {e!r}")
+        check_int(e, "exponent", 0)
         m: dict[int, int] = {}
         for c in self._cycles:
             n = len(c)
@@ -168,7 +167,7 @@ class Permutation:
     def split_parts(self, q: int) -> tuple["Permutation", "Permutation"]:
         """Split into the q-regular part (cycle lengths not divisible by q)
         and the q-singular part (lengths divisible by q)."""
-        check_modulus(q, "modulus")
+        check_int(q, "modulus", 2)
         regular = tuple(c for c in self._cycles if len(c) % q != 0)
         singular = tuple(c for c in self._cycles if len(c) % q == 0)
         return Permutation._from_canonical(regular), Permutation._from_canonical(singular)
@@ -330,10 +329,8 @@ class CycleType:
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
         merged: dict[int, int] = {}
         for length, count in pairs:
-            if not isinstance(length, int) or length < 1:
-                raise DomainError(f"cycle length must be a positive integer, got {length!r}")
-            if not isinstance(count, int) or count < 1:
-                raise DomainError(f"multiplicity must be a positive integer, got {count!r}")
+            check_int(length, "cycle length", 1)
+            check_int(count, "multiplicity", 1)
             merged[length] = merged.get(length, 0) + count
         self._pairs = tuple(sorted(merged.items()))
 

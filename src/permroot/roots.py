@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 
-from .errors import DomainError, check_modulus
+from .errors import DomainError, check_int
 from .permutation import CycleType, Permutation
 
 BRUTE_FORCE_BOUND = 8
@@ -44,6 +44,7 @@ def prime_power_decomposition(r: int) -> tuple[int, int] | None:
     """(q, l) with r = q**l and q prime, or None if r is not a prime power.
     Trial division: an r above TRIAL_DIVISION_BOUND with no prime factor up
     to isqrt(TRIAL_DIVISION_BOUND) raises DomainError."""
+    check_int(r, "r")
     if r < 2:
         return None
     q = 2
@@ -66,12 +67,14 @@ def prime_power_decomposition(r: int) -> tuple[int, int] | None:
 
 def has_root_prime_power(sigma: Permutation, q: int, l: int) -> bool:
     """True iff sigma has a (q**l)-th root: every count of cycles whose
-    length is a multiple of q must be a multiple of q**l."""
+    length is a multiple of q must be a multiple of q**l.  Once
+    l >= n.bit_length(), q**l > n and no count 1 <= c <= n is a multiple
+    of it, so l is capped there before the power is built."""
+    check_int(q, "q", 2)
     if not is_prime(q):
         raise DomainError(f"q must be prime, got {q}")
-    if not isinstance(l, int) or l < 1:
-        raise DomainError(f"exponent must be a positive integer, got {l!r}")
-    r = q**l
+    check_int(l, "l", 1)
+    r = q ** min(l, sigma.size.bit_length())
     counts: dict[int, int] = {}
     for length in sigma.cycle_lengths():
         counts[length] = counts.get(length, 0) + 1
@@ -113,15 +116,15 @@ def type_has_root(lengths: tuple[int, ...], r: int) -> bool:
 
 def has_root_general(sigma: Permutation, r: int) -> bool:
     """Root existence for arbitrary r >= 2 via the per-length step rule."""
-    check_modulus(r, "root degree")
+    check_int(r, "root degree", 2)
     return type_has_root(tuple(sorted(sigma.cycle_lengths())), r)
 
 
 def is_qr_divisible(rho: CycleType, q: int, r: int) -> bool:
     """True iff every length in rho is divisible by q and every multiplicity
     is divisible by r; vacuously true for the empty type."""
-    check_modulus(q, "q")
-    check_modulus(r, "r")
+    check_int(q, "q", 2)
+    check_int(r, "r", 2)
     return all(ln % q == 0 and ct % r == 0 for ln, ct in rho.pairs)
 
 
@@ -163,7 +166,7 @@ def find_root_bruteforce(sigma: Permutation, r: int) -> Permutation | None:
     r-th power moves the least element elsewhere than sigma does is
     rejected after one walk of that element's cycle, before its full power
     is built."""
-    check_modulus(r, "root degree")
+    check_int(r, "root degree", 2)
     _check_brute_force_size(sigma.size)
     elems = sigma.elements()
     if not elems:
@@ -187,7 +190,9 @@ def find_root_bruteforce(sigma: Permutation, r: int) -> Permutation | None:
 
 def brute_force_root_table(n: int, r: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """One pass over S_n: map each one-line permutation with an r-th root to
-    its lexicographically least root (also in one-line form)."""
+    its lexicographically least root (also in one-line form); any r >= 1."""
+    check_int(n, "n", 0)
+    check_int(r, "root degree", 1)
     _check_brute_force_size(n)
     e = r % _period(n)
     table: dict[tuple[int, ...], tuple[int, ...]] = {}

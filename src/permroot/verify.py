@@ -34,7 +34,7 @@ from typing import Callable, Generator
 from . import bijections as bij
 from . import counting as cnt
 from . import oeis
-from .errors import DomainError, check_modulus
+from .errors import DomainError, check_int
 from .families import (
     FamilySpec,
     _regular,
@@ -456,14 +456,14 @@ def _phi_ranges(bounds: dict) -> list[dict]:
     elif "r" in bounds or "n" in bounds:
         if "r" not in bounds or "n" not in bounds:
             raise DomainError("the phi-bijection override needs r and n together")
-        n = bounds["n"]
-        if not isinstance(n, int) or n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {n!r}")
-        pairs = [(bounds["r"], bounds["r"] * n)]
+        check_int(bounds["r"], "r", 2)
+        check_int(bounds["n"], "n", 1)
+        pairs = [(bounds["r"], bounds["r"] * bounds["n"])]
     else:
         pairs = PHI_PAIRS
-    for r, _ in pairs:
-        check_modulus(r, "r")
+    for r, rn in pairs:
+        check_int(r, "r", 2)
+        check_int(rn, "rn", r)
     return [{"r": r, "n": rn // r, "rn": rn} for r, rn in pairs]
 
 

@@ -309,9 +309,9 @@ WRAPPER_CHECKS = [
     (extract_element, (parse("(1 2) (3)"), 2), DomainError, "(1 2) (3) is not 2-regular"),
     (insert_element, (1, parse("(2)"), 1), DomainError, "r must be an integer >= 2, got 1"),
     (insert_element, ("1", parse("(2)"), 3), DomainError,
-     "distinguished element must be a positive integer, got '1'"),
+     "distinguished element must be an integer >= 1, got '1'"),
     (insert_element, (0, parse("(2)"), 3), DomainError,
-     "distinguished element must be a positive integer, got 0"),
+     "distinguished element must be an integer >= 1, got 0"),
     (insert_element, (2, parse("(2 3)"), 3), DomainError, "element 2 already occurs in (2 3)"),
     (insert_element, (1, parse("(2)"), 2), DomainError,
      "resulting size 2 would be a multiple of r=2"),
@@ -366,6 +366,8 @@ WRAPPER_CHECKS = [
      "break point 9 is not in cycle (3, 4)"),
     (from_nearly_regular, (parse("(1 3)_1 (2)", r=2),), DomainError,
      "ground-set size 3 is not a multiple of r=2"),
+    (merge_cycle_class, ([(1, 2), (3, "a")], [3]), DomainError,
+     "cycle entry must be an integer >= 1, got 'a'"),
 ]
 
 

@@ -134,9 +134,15 @@ class TestEnumerate:
                 got = list(enumerate_regular_on(subset, r))
                 assert [p.cycles for p in got] == [p.cycles for p in expected]
 
-    @pytest.mark.parametrize("elements", [[0, 1, 2], [-1, 3], [1, 2.5]])
+    @pytest.mark.parametrize("elements", [[0, 1, 2], [-1, 3], [1, 2.5], [2, 2, 3], [True, 2]])
     def test_enumerate_regular_on_rejects_bad_labels(self, elements):
-        with pytest.raises(InvalidPermutationError, match="must be positive integers"):
+        """Labels must be distinct positive integers: a repeated label is
+        refused, not dropped."""
+        if len(set(elements)) < len(elements):
+            message = "^element 2 appears in more than one position$"
+        else:
+            message = "must be positive integers"
+        with pytest.raises(InvalidPermutationError, match=message):
             next(enumerate_regular_on(elements, 2))
 
     def test_enriched_enumeration_counts_colors(self):
