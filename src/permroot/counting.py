@@ -203,7 +203,8 @@ def _type_dp(n: int, length_specs) -> list[int]:
     free and bunched parts, so it runs the passes apart (E and B, both from
     n!) and combines row n alone: dp[n] = sum_k E[k] B[n-k] / n!.  Apart,
     the bunched pass walks a sparse array, not the dense one the free pass
-    leaves, and skips its zero sources.
+    leaves, and skips its zero sources.  An empty side is [n!, 0, ..., 0],
+    so the same sum serves specs that are all free or all bunched.
     """
     free, bunched = _split_specs(n, length_specs)
     scaled = _bunched_pass(_free_pass(n, free), bunched)
@@ -219,8 +220,6 @@ def _type_dp_row(n: int, length_specs) -> int:
     """``_type_dp(n, length_specs)[n]``, computed at row n only."""
     free, bunched = _split_specs(n, length_specs)
     free_part = _free_pass(n, free)
-    if not free or not bunched:  # one array holds the whole DP
-        return _bunched_pass(free_part, bunched)[n]
     bunched_part = _bunched_pass([free_part[0]] + [0] * n, bunched)
     return sum(map(mul, free_part, reversed(bunched_part))) // free_part[0]
 

@@ -140,8 +140,9 @@ _FAMILIES = {
         ("q", "rho"),
         lambda ls, s: tuple(sorted(ln for ln in ls if ln % s.q == 0)) == s.rho.expand(),
     ),
-    # has an r-th root (type_has_root is looked up in roots on each call)
-    "roots": (("r",), lambda ls, s: roots.type_has_root(tuple(sorted(ls)), s.r)),
+    # has an r-th root (type_has_root takes the lengths in any order and is
+    # looked up in roots on each call)
+    "roots": (("r",), lambda ls, s: roots.type_has_root(ls, s.r)),
     "all": ((), lambda ls, s: True),
 }
 
@@ -323,11 +324,7 @@ def enumerate_regular_on(elements, r: int) -> Iterator[Permutation]:
     relabeling of the enumeration over [n].  The labels must be distinct
     positive integers."""
     elems = Permutation((e,) for e in elements).elements()
-    members = enumerate_family(FamilySpec.regular(r, len(elems)))
-    if elems == tuple(range(1, len(elems) + 1)):
-        yield from members
-        return
-    for p in members:
+    for p in enumerate_family(FamilySpec.regular(r, len(elems))):
         yield p._relabel_increasing(elems)
 
 

@@ -349,9 +349,6 @@ class CycleType:
     def total(self) -> int:
         return sum(length * count for length, count in self._pairs)
 
-    def counts(self) -> dict[int, int]:
-        return dict(self._pairs)
-
     def count_of(self, length: int) -> int:
         for ln, ct in self._pairs:
             if ln == length:

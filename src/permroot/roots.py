@@ -5,8 +5,9 @@ m / gcd(m, r) to pi**r.  Root existence therefore depends only on the cycle
 type: the cycles of each length must split into bunches of admissible
 sizes.  Every admissible size is a multiple of the smallest one, which is
 admissible itself, so the rule is one step per length: the count of cycles
-of length L must be a multiple of ``smallest_bunch_size(L, r)``.  For prime
-powers r = q**l that step is r when q divides L and 1 otherwise, the
+of length L must be a multiple of ``smallest_bunch_size(L, r)``.
+``type_has_root`` counts the lengths in any order and caches nothing.  For
+prime powers r = q**l that step is r when q divides L and 1 otherwise, the
 classical criterion.
 
 Construction stays brute force and is the independent oracle the criteria
@@ -22,7 +23,6 @@ compares where the power sends the least element, one walk of its cycle.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -84,7 +84,10 @@ def has_root_prime_power(sigma: Permutation, q: int, l: int) -> bool:
 def bunch_sizes(length: int, r: int) -> tuple[int, ...]:
     """Admissible bunch sizes d for cycles of the given length: a pi-cycle of
     length d*length powers to d cycles of that length exactly when
-    gcd(d*length, r) = d."""
+    gcd(d*length, r) = d.  Scans d = 1..r, so it is the test oracle for
+    ``smallest_bunch_size``, not a fast path."""
+    check_int(length, "length", 1)
+    check_int(r, "r", 1)
     return tuple(d for d in range(1, r + 1) if r % d == 0 and gcd(d * length, r) == d)
 
 
@@ -103,9 +106,8 @@ def smallest_bunch_size(length: int, r: int) -> int:
     return r // coprime
 
 
-@lru_cache(maxsize=None)
-def type_has_root(lengths: tuple[int, ...], r: int) -> bool:
-    """Root existence from the sorted tuple of cycle lengths."""
+def type_has_root(lengths, r: int) -> bool:
+    """Root existence from the cycle lengths, given in any order."""
     counts: dict[int, int] = {}
     for length in lengths:
         counts[length] = counts.get(length, 0) + 1
@@ -117,7 +119,7 @@ def type_has_root(lengths: tuple[int, ...], r: int) -> bool:
 def has_root_general(sigma: Permutation, r: int) -> bool:
     """Root existence for arbitrary r >= 2 via the per-length step rule."""
     check_int(r, "root degree", 2)
-    return type_has_root(tuple(sorted(sigma.cycle_lengths())), r)
+    return type_has_root(sigma.cycle_lengths(), r)
 
 
 def is_qr_divisible(rho: CycleType, q: int, r: int) -> bool:

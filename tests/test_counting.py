@@ -6,6 +6,7 @@ import pytest
 
 from permroot.counting import (
     _type_dp,
+    _type_dp_row,
     count_AP,
     count_cyc,
     count_cyc_qr,
@@ -338,19 +339,24 @@ class TestRootCounts:
 
 class TestTypeDP:
     def test_weighted_steps_match_sum_over_types(self):
-        # free and bunched lengths, both with weights other than 1
-        specs = [(1, 1, 2), (2, 2, 3), (3, 1, 5), (4, 3, 2), (5, 2, 1)]
-        rules = {length: (step, weight) for length, step, weight in specs}
-        dp = _type_dp(16, specs)
-        for n in range(17):
-            expected = 0
-            for rho in map(CycleType.of_lengths, _partitions(n, n)):
-                if all(ln in rules and ct % rules[ln][0] == 0 for ln, ct in rho.pairs):
-                    weight = 1
-                    for ln, ct in rho.pairs:
-                        weight *= rules[ln][1] ** ct
-                    expected += weight * count_of_type(rho)
-            assert dp[n] == expected, n
+        # free and bunched lengths, both with weights other than 1, then each
+        # side alone; _type_dp_row must agree with the full DP at every row
+        mixed = [(1, 1, 2), (2, 2, 3), (3, 1, 5), (4, 3, 2), (5, 2, 1)]
+        free = [spec for spec in mixed if spec[1] == 1]
+        bunched = [spec for spec in mixed if spec[1] > 1]
+        for specs in (mixed, free, bunched):
+            rules = {length: (step, weight) for length, step, weight in specs}
+            dp = _type_dp(16, specs)
+            for n in range(17):
+                expected = 0
+                for rho in map(CycleType.of_lengths, _partitions(n, n)):
+                    if all(ln in rules and ct % rules[ln][0] == 0 for ln, ct in rho.pairs):
+                        weight = 1
+                        for ln, ct in rho.pairs:
+                            weight *= rules[ln][1] ** ct
+                        expected += weight * count_of_type(rho)
+                assert dp[n] == expected, (specs, n)
+                assert _type_dp_row(n, specs) == dp[n], (specs, n)
 
 
 def dp_output_lines():

@@ -203,6 +203,9 @@ MOTIVATING_CASES = [
     (cnt.regular_proportion_product, (2, True)),
     (lambda: list(enumerate_regular_on([2, 2, 3], 2)), ()),
     (bij.merge_cycle_class, ([[1, 2], [3, "a"]], [3])),
+    (roots.bunch_sizes, (1, True)),
+    (roots.bunch_sizes, (1, 2.5)),
+    (roots.bunch_sizes, (0, 3)),
 ]
 
 

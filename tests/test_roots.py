@@ -1,13 +1,16 @@
+import gc
 import hashlib
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from permroot import roots
 from permroot.errors import DomainError
 from permroot.families import FamilySpec, enumerate_family
 from permroot.permutation import Permutation, parse_cycle_type
@@ -113,6 +116,24 @@ class TestGeneralCriterion:
                 for r in (2, 3, 4, 5, 7, 8, 9):
                     q, l = prime_power_decomposition(r)
                     assert has_root_general(p, r) == has_root_prime_power(p, q, l)
+
+    def test_criterion_keeps_nothing_per_input(self):
+        """Deciding distinct inputs leaves nothing allocated from roots.py
+        once gc.collect() has emptied the interpreter's free lists."""
+        perms = [
+            Permutation([tuple(range(1, k + 1)), *((e,) for e in range(k + 1, 101))])
+            for k in range(1, 101)
+        ]
+        tracemalloc.start()
+        try:
+            verdicts = [has_root_general(p, r) for p in perms for r in (2, 3, 6)]
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert len(verdicts) == 300
+        held = snapshot.filter_traces([tracemalloc.Filter(True, roots.__file__)])
+        assert held.statistics("filename") == []
 
     @pytest.mark.parametrize("n", range(0, 6))
     @pytest.mark.parametrize("r", range(2, 10))

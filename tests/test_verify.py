@@ -152,7 +152,8 @@ class TestRegistry:
         assert hashlib.sha256(normalized).hexdigest() == REDUCED_REPORTS_SHA256
 
     @pytest.mark.parametrize(
-        "bounds", [{"r": 0, "n": 2}, {"r": 3, "n": 0}, {"r": 3}, {"n": 2}]
+        "bounds",
+        [{"r": 0, "n": 2}, {"r": 3, "n": 0}, {"r": 3}, {"n": 2}, {"pairs": [[2, 5]]}],
     )
     def test_bad_phi_override_raises_domain_error(self, bounds):
         with pytest.raises(DomainError):
@@ -276,6 +277,22 @@ class TestTypesWithTotal:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_empty_total_gives_only_the_empty_type(self, q):
         assert list(_types_with_total(0, q)) == [CycleType()]
+
+
+def test_criterion_walk_decides_each_type_once(monkeypatch):
+    """The criterion is asked once per cycle type and r, not once per
+    permutation: 2 * (p(0) + ... + p(6)) calls for n_max = 6, r in (2, 3)."""
+    calls = []
+    criterion = verify.type_has_root
+    monkeypatch.setattr(
+        verify, "type_has_root", lambda lengths, r: calls.append(r) or criterion(lengths, r)
+    )
+    reports = [
+        r for r in run_suite("roots", {"n_max": 6, "r_values": (2, 3)})
+        if r.property_id == "roots/criterion-vs-bruteforce"
+    ]
+    assert [r.passed for r in reports] == [True]
+    assert len(calls) == 2 * sum(PARTITION_NUMBERS[:7])
 
 
 class TestReports:
