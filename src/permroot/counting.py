@@ -52,6 +52,8 @@ def double_factorial(k: int) -> int:
 
 def count_of_type(rho: CycleType) -> int:
     """Number of permutations of a fixed |rho|-element set with cycle type rho."""
+    if not isinstance(rho, CycleType):
+        raise DomainError(f"rho must be a CycleType, got {rho!r}")
     out = factorial(rho.total)
     for length, count in rho.pairs:
         out = _exact_div(out, length**count * factorial(count))
@@ -275,12 +277,7 @@ def count_AP(n: int, k: int, parity: str) -> int:
 def count_S_rho_q(rho: CycleType, q: int, n: int) -> int:
     """|S_{rho,q}(n)|: permutations of [n] whose q-singular part has cycle
     type rho; the q-regular remainder is free."""
-    check_int(q, "q", 2)
-    check_int(n, "n", 0)
-    if any(ln % q != 0 for ln in rho.lengths()):
-        raise DomainError(f"type {rho} contains a q-regular length (q={q})")
-    if rho.total > n:
-        raise DomainError(f"|rho|={rho.total} exceeds n={n}")
+    FamilySpec.singular_type(rho, q, n)  # checks rho, q and n as the family does
     return comb(n, rho.total) * count_of_type(rho) * count_reg(q, n - rho.total)
 
 

@@ -55,7 +55,7 @@ class FamilySpec:
                 raise DomainError(f"need n >= {self.k} for a first cycle of length {self.k}")
             check_int(self.k, "k", 1, self.n)
         if "rho" in params:
-            if self.rho is None:
+            if not isinstance(self.rho, CycleType):
                 raise DomainError("singular-type family needs a cycle type rho")
             if self.rho.total > self.n:
                 raise DomainError(f"|rho|={self.rho.total} exceeds n={self.n}")

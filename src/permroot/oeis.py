@@ -24,6 +24,7 @@ from .report import VerificationReport, run_property
 
 CACHE_DIR_ENV = "PERMROOT_CACHE_DIR"
 SOURCES = ("fixture", "cache", "network")
+NETWORK_TIMEOUT = 30.0  # seconds a live b-file fetch may take
 
 # OEIS id -> (label, the generator its terms are cross-checked against); each
 # generator looks its count up in ``counting`` per call, so the benchmark
@@ -127,12 +128,12 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _network_text(oeis_id: str, cache_dir, timeout: float) -> str:
+def _network_text(oeis_id: str, cache_dir) -> str:
     import urllib.request  # ssl and http load only when the network is asked for
 
     url = f"https://oeis.org/{oeis_id}/{_bfile_name(oeis_id)}"
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=NETWORK_TIMEOUT) as resp:
             text = resp.read().decode("utf-8")
     except OSError as exc:
         raise SequenceLookupError(f"fetching {url} failed: {exc}") from exc
@@ -144,7 +145,6 @@ def fetch(
     oeis_id: str,
     source: str = "fixture",
     cache_dir: str | os.PathLike | None = None,
-    timeout: float = 30.0,
 ) -> SequenceRef:
     """Fetch a b-file from one source: "fixture" (vendored snapshot, never
     touches the network), "cache" (previously stored copy), or "network"
@@ -155,7 +155,7 @@ def fetch(
     elif source == "cache":
         text = _cache_text(oeis_id, cache_dir)
     elif source == "network":
-        text = _network_text(oeis_id, cache_dir, timeout)
+        text = _network_text(oeis_id, cache_dir)
     else:
         raise DomainError(f"unknown source {source!r}; options: {', '.join(SOURCES)}")
     return _parse_bfile(text, oeis_id)

@@ -14,9 +14,9 @@ never colored.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleNotationError, DomainError, InvalidPermutationError, check_int
 
@@ -203,7 +203,10 @@ class Permutation:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Permutation":
-        return cls(data.get("cycles", ()))
+        cycles = data.get("cycles", []) if isinstance(data, Mapping) else None
+        if not isinstance(cycles, list) or not all(isinstance(c, list) for c in cycles):
+            raise InvalidPermutationError("expected a JSON object with 'cycles' a list of lists")
+        return cls(cycles)
 
 
 def _walk_cycles(elements_sorted, mapping) -> tuple[Cycle, ...]:
@@ -230,24 +233,15 @@ class EnrichedPermutation:
 
     __slots__ = ("_base", "_r", "_color_seq")
 
-    def __init__(self, base: Permutation, r: int, colors):
-        """``colors`` is either a mapping {cycle index: color} or a sequence
-        aligned with ``base.cycles`` using None on regular cycles."""
+    def __init__(self, base: Permutation, r: int, colors: Sequence):
+        """``colors`` is a sequence aligned with ``base.cycles``, None on
+        regular cycles; ``from_json_dict`` reads the {index: color} form."""
         if not isinstance(r, int) or r < 2:
             raise InvalidPermutationError(f"enrichment modulus must be an integer >= 2, got {r!r}")
         cycles = base.cycles
-        if isinstance(colors, Mapping):
-            seq = [None] * len(cycles)
-            for i, c in colors.items():
-                idx = int(i)
-                if not 0 <= idx < len(cycles):
-                    raise InvalidPermutationError(f"color index {i} out of range")
-                seq[idx] = c
-        else:
-            seq = list(colors)
-            if len(seq) != len(cycles):
-                raise InvalidPermutationError("color sequence length does not match cycle count")
-        for cyc, col in zip(cycles, seq):
+        if not isinstance(colors, Sequence) or len(colors) != len(cycles):
+            raise InvalidPermutationError("colors must be a sequence aligned with the cycles")
+        for cyc, col in zip(cycles, colors):
             if len(cyc) % r == 0:
                 if col is None:
                     raise InvalidPermutationError(
@@ -259,7 +253,7 @@ class EnrichedPermutation:
                 raise InvalidPermutationError(f"regular cycle {cyc} must not carry a color")
         self._base = base
         self._r = r
-        self._color_seq = tuple(seq)
+        self._color_seq = tuple(colors)
 
     @classmethod
     def from_plain(cls, base: Permutation) -> "EnrichedPermutation":
@@ -318,7 +312,12 @@ class EnrichedPermutation:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "EnrichedPermutation":
-        return cls(Permutation(data.get("cycles", ())), data["r"], data.get("colors", {}))
+        base = Permutation.from_json_dict(data)
+        colors = data.get("colors", {})
+        keys = [str(i) for i in range(len(base.cycles))]
+        if "r" not in data or not isinstance(colors, Mapping) or not set(colors) <= set(keys):
+            raise InvalidPermutationError("expected 'r' and colors keyed by cycle index strings")
+        return cls(base, data["r"], [colors.get(key) for key in keys])
 
 
 class CycleType:

@@ -125,6 +125,8 @@ def has_root_general(sigma: Permutation, r: int) -> bool:
 def is_qr_divisible(rho: CycleType, q: int, r: int) -> bool:
     """True iff every length in rho is divisible by q and every multiplicity
     is divisible by r; vacuously true for the empty type."""
+    if not isinstance(rho, CycleType):
+        raise DomainError(f"rho must be a CycleType, got {rho!r}")
     check_int(q, "q", 2)
     check_int(r, "r", 2)
     return all(ln % q == 0 and ct % r == 0 for ln, ct in rho.pairs)

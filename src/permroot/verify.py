@@ -96,11 +96,6 @@ def _q_family(r: int, k: int, n: int):
     return enumerate_family(FamilySpec.first_cycle(r, k, n), bound=max(n, 10))
 
 
-def _q_buckets(r: int, n: int) -> dict[int, list[Permutation]]:
-    """k -> the members of Q_{r,k}(n), for k = 1..n."""
-    return {k: list(_q_family(r, k, n)) for k in range(1, n + 1)}
-
-
 def _partitions(total: int):
     def rec(remaining, max_part, acc):
         if remaining == 0:
@@ -238,7 +233,7 @@ def _split_parts_recombine(n_max, q_values):
 def _family_partitions(n_max, r_values):
     for r in r_values:
         for n in range(1, n_max + 1):
-            buckets = _q_buckets(r, n)
+            buckets = {k: list(_q_family(r, k, n)) for k in range(1, n + 1)}
             reg = cnt.count_reg(r, n)
             nreg_scan = sum(
                 1 for _ in enumerate_family(FamilySpec.nearly_regular(r, n))
@@ -321,13 +316,15 @@ def _extract_insert_roundtrip(n_max, r_values):
 def _grow_shrink_roundtrip(per_r):
     for r, n_max in per_r:
         for n in range(1, n_max + 1):
-            buckets = _q_buckets(r, n)
-            for k, members in sorted(buckets.items()):
+            # the domain buckets only: the codomain size comes from the formula
+            for k in range(1, n):
                 if (n - k) % r == 0:
                     continue
                 image = set()
-                for sigma in members:
+                members = 0
+                for sigma in _q_family(r, k, n):
                     yield
+                    members += 1
                     cycles = sigma.cycles
                     grown = bij._grow_first(cycles, r)
                     if len(grown[0]) != k + 1:
@@ -337,10 +334,10 @@ def _grow_shrink_roundtrip(per_r):
                     if bij._shrink_first(grown, r) != cycles:
                         return f"shrink(grow({sigma})) != original (r={r})"
                     image.add(grown)
-                expected = len(buckets[k + 1])
-                if len(image) != len(members) or len(members) != expected:
+                expected = cnt.count_q_family(r, k + 1, n)
+                if len(image) != members or members != expected:
                     return (
-                        f"r={r} n={n} k={k}: |Q_k|={len(members)} but "
+                        f"r={r} n={n} k={k}: |Q_k|={members} but "
                         f"|Q_(k+1)|={expected}, image={len(image)}"
                     )
 

@@ -30,14 +30,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 # each "permroot ...  # -> out" line of the README's CLI block: (argv, out)
 README_EXAMPLES = [
     pytest.param(shlex.split(m[1]), m[2], id=m[1])
-    for m in re.finditer(
-        r"^permroot (.*?)\s+# -> (.*)$",
-        (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8"),
-        re.MULTILINE,
-    )
+    for m in re.finditer(r"^permroot (.*?)\s+# -> (.*)$", README, re.MULTILINE)
 ]
 
 
@@ -548,11 +545,15 @@ def test_readme_examples_found():
     assert len(README_EXAMPLES) >= 4
 
 
-@pytest.mark.parametrize("argv, first_line", README_EXAMPLES)
-def test_readme_example(capsys, argv, first_line):
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES)
+def test_readme_example(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert out.splitlines()[0] == first_line
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+def test_readme_quick_start():
+    (block,) = re.findall(r"^## Library quick start\n+```python\n(.*?)^```", README, re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 class TestUsageErrors:

@@ -206,6 +206,10 @@ MOTIVATING_CASES = [
     (roots.bunch_sizes, (1, True)),
     (roots.bunch_sizes, (1, 2.5)),
     (roots.bunch_sizes, (0, 3)),
+    (roots.is_qr_divisible, (None, 2, 2)),
+    (cnt.count_of_type, (None,)),
+    (cnt.count_S_rho_q, (None, 2, 4)),
+    (FamilySpec.singular_type, ("2^2", 2, 4)),
 ]
 
 

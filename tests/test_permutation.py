@@ -1,5 +1,7 @@
 import hashlib
 import random
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,26 @@ class TestPermutationOps:
             Permutation.from_mapping({1: 2, 2: 2})
 
 
+def _colored_3_cycle(colors):
+    return EnrichedPermutation(Permutation([[1, 2, 3]]), 3, colors)
+
+
+_ENRICHED = EnrichedPermutation.from_json_dict
+# malformed input to the JSON readers and the color sequence: (reader, input)
+MALFORMED = {
+    "color-key-not-an-index": (_ENRICHED, {"cycles": [[1, 2, 3]], "r": 3, "colors": {"a": 1}}),
+    "no-r": (_ENRICHED, {"cycles": [[1, 2, 3]], "colors": {"a": 1}}),
+    "list-for-dict": (_ENRICHED, [[1, 2, 3]]),
+    "cycles-not-a-list": (Permutation.from_json_dict, {"cycles": 5}),
+    "mapping-to-constructor": (_colored_3_cycle, {0.5: 1}),
+    "index-mapping-to-constructor": (_colored_3_cycle, {2: 1}),  # its key is a valid color
+    "int-color-key": (_ENRICHED, {"cycles": [[1, 2]], "r": 3, "colors": {0: 1}}),
+    "color-index-out-of-range": (_ENRICHED, {"cycles": [[1, 2]], "r": 3, "colors": {"1": 1}}),
+    "colors-not-a-mapping": (_ENRICHED, {"cycles": [[1, 2, 3]], "r": 3, "colors": [1]}),
+    "cycle-not-a-list": (Permutation.from_json_dict, {"cycles": [[1, 2], 3]}),
+}
+
+
 class TestEnriched:
     def test_r2_isomorphism(self, P):
         p = P("(1 2) (3) (4 5 6 7)")
@@ -183,11 +205,17 @@ class TestEnriched:
         with pytest.raises(InvalidPermutationError):
             EnrichedPermutation(P("(1 2 3)"), 2, (1,))
 
-    @pytest.mark.parametrize("colors", [[True], (True,), {0: True}, {"0": True}])
+    @pytest.mark.parametrize(
+        "colors", [[True], (True,), {"0": True}, MappingProxyType({"0": True})]
+    )
     def test_bool_color_rejected(self, P, colors):
-        # str() would print "(1 2)_True", which parse rejects
+        # str() would print "(1 2)_True", which parse rejects; a mapping is
+        # the JSON form, read by from_json_dict
         with pytest.raises(InvalidPermutationError, match=r"^color True out of range 1\.\.1$"):
-            EnrichedPermutation(P("(1 2)"), 2, colors)
+            if isinstance(colors, Mapping):
+                EnrichedPermutation.from_json_dict({"cycles": [[1, 2]], "r": 2, "colors": colors})
+            else:
+                EnrichedPermutation(P("(1 2)"), 2, colors)
 
     def test_bool_color_rejected_from_json(self):
         data = {"cycles": [[1, 2, 3]], "colors": {"0": True}, "r": 3}
@@ -197,8 +225,15 @@ class TestEnriched:
         assert str(EnrichedPermutation.from_json_dict(data)) == "(1 2 3)_1"
 
     def test_colors_by_index_mapping(self, P):
-        e = EnrichedPermutation(P("(1 2 4) (3) (5 6)"), 3, {"0": 2})
+        data = {"cycles": [[5, 6], [3], [4, 1, 2]], "r": 3, "colors": {"0": 2}}
+        e = EnrichedPermutation.from_json_dict(data)  # indices of the canonical cycles
+        assert e == EnrichedPermutation(P("(1 2 4) (3) (5 6)"), 3, (2, None, None))
         assert e == parse("(1 2 4)_2 (3) (5 6)", r=3)
+
+    @pytest.mark.parametrize("build, data", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_json_forms_raise_typed_errors(self, build, data):
+        with pytest.raises(InvalidPermutationError):
+            build(data)
 
 
 class TestCycleType:

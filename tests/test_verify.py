@@ -12,6 +12,7 @@ from permroot.report import (
     golden_diff,
     normalize_report_bytes,
     reports_to_json,
+    run_property,
     write_reports,
 )
 from permroot.verify import (
@@ -257,6 +258,30 @@ def test_grow_into_singular_rest_fails(monkeypatch, property_id):
     reports = [r for r in run_suite("bijections", REDUCED_BOUNDS) if r.property_id == property_id]
     assert [(r.counts_checked, r.counterexample) for r in reports] == [
         (4, "grow((1) (2) (3) (4), r=2) left a singular cycle after the first")
+    ]
+
+
+def test_grow_shrink_scans_only_domain_buckets(monkeypatch):
+    """The round trip enumerates Q_{r,k}(n) only where it is the domain of a
+    growth, (n - k) % r != 0, and reads |Q_{r,k+1}(n)| from the formula."""
+    specs = []
+    scan = verify.enumerate_family
+    monkeypatch.setattr(
+        verify, "enumerate_family",
+        lambda spec, **kwargs: specs.append(spec) or scan(spec, **kwargs),
+    )
+    per_r = ((2, 6), (3, 6))
+    (prop,) = [
+        p for p in SUITES["bijections"] if p.property_id == "bijections/grow-shrink-roundtrip"
+    ]
+    report = run_property(prop.property_id, {"per_r": per_r}, prop.check(per_r=per_r))
+    assert report.passed
+    assert [(s.tag, s.r, s.n, s.k) for s in specs] == [
+        ("q", r, n, k)
+        for r, n_max in per_r
+        for n in range(1, n_max + 1)
+        for k in range(1, n)
+        if (n - k) % r
     ]
 
 
