@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError, InvalidPermutationError, check_int
+from .errors import DomainError, InvalidPermutationError, check_int, check_type
 from .families import _regular
 from .permutation import Cycle, EnrichedPermutation, Permutation
 
@@ -153,6 +153,7 @@ def _require_regular(sigma: Permutation, r: int) -> None:
 def extract_element(sigma: Permutation, r: int) -> DeltaOutput:
     """Split an r-regular permutation of S (|S| not a multiple of r) into a
     distinguished element x and an r-regular permutation of S minus x."""
+    check_type(sigma, Permutation, "sigma")
     check_int(r, "r", 2)
     if sigma.size % r == 0:  # also rejects the empty permutation
         raise DomainError(f"ground-set size {sigma.size} is a multiple of r={r}")
@@ -164,6 +165,7 @@ def extract_element(sigma: Permutation, r: int) -> DeltaOutput:
 def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
     """Inverse of ``extract_element``: place x as the last entry of the first
     cycle of the result.  Requires |pi| + 1 not a multiple of r."""
+    check_type(pi, Permutation, "pi")
     check_int(r, "r", 2)
     check_int(x, "distinguished element", 1)
     if x in pi.ground_set():
@@ -177,6 +179,7 @@ def insert_element(x: int, pi: Permutation, r: int) -> Permutation:
 def extend_regular(sigma: Permutation, j: int, r: int) -> Permutation:
     """The bijection Reg_r(n) x [n+1] -> Reg_r(n+1) (n+1 not a multiple of r):
     relabel [n+1] minus j order-preservingly onto [n], undone by insertion."""
+    check_type(sigma, Permutation, "sigma")
     check_int(r, "r", 2)
     n = sigma.size
     if sigma.ground_set() != frozenset(range(1, n + 1)):
@@ -195,6 +198,7 @@ def grow_first_cycle(sigma: Permutation, r: int) -> Permutation:
     """Move one element from the r-regular remainder to the end of the cycle
     containing the minimum (first-cycle length k -> k+1).  Requires that
     n - k is not a multiple of r."""
+    check_type(sigma, Permutation, "sigma")
     check_int(r, "r", 2)
     if not sigma.cycles:
         raise DomainError("cannot grow the empty permutation")
@@ -209,6 +213,7 @@ def grow_first_cycle(sigma: Permutation, r: int) -> Permutation:
 def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
     """Inverse of ``grow_first_cycle``: drop the last entry of the first
     cycle and re-insert it into the remainder."""
+    check_type(pi, Permutation, "pi")
     check_int(r, "r", 2)
     if not pi.cycles:
         raise DomainError("cannot shrink the empty permutation")
@@ -227,6 +232,7 @@ def shrink_first_cycle(pi: Permutation, r: int) -> Permutation:
 def to_nearly_regular(sigma: Permutation, r: int) -> EnrichedPermutation:
     """Grow the first cycle of an r-regular permutation of a set of size rn
     to length r(k+1) and color it with the residue i it started from."""
+    check_type(sigma, Permutation, "sigma")
     check_int(r, "r", 2)
     if not sigma.cycles:
         raise DomainError("the empty permutation has no first cycle to grow")
@@ -239,6 +245,7 @@ def to_nearly_regular(sigma: Permutation, r: int) -> EnrichedPermutation:
 
 
 def _require_nearly_regular(tau: EnrichedPermutation) -> int:
+    check_type(tau, EnrichedPermutation, "tau")
     seq = tau.color_seq
     if not seq or seq[0] is None or any(c is not None for c in seq[1:]):
         raise DomainError(
@@ -270,6 +277,7 @@ def to_enriched_cycles(sigma: Permutation, r: int) -> EnrichedPermutation:
     singular cycles by repeatedly growing-and-peeling the first cycle.  The
     cycle containing the minimum has length r(k+1) when the input first
     cycle had length rk+i, and carries color i."""
+    check_type(sigma, Permutation, "sigma")
     check_int(r, "r", 2)
     if sigma.size % r != 0:
         raise DomainError(f"ground-set size {sigma.size} is not a multiple of r={r}")
@@ -287,6 +295,7 @@ def to_enriched_cycles(sigma: Permutation, r: int) -> EnrichedPermutation:
 def from_enriched_cycles(tau: EnrichedPermutation) -> Permutation:
     """Inverse of ``to_enriched_cycles``: rebuild innermost-first, shrinking
     each colored cycle back into the regular permutation recovered so far."""
+    check_type(tau, EnrichedPermutation, "tau")
     if any(c is None for c in tau.color_seq):
         raise DomainError("every cycle must be singular and colored")
     r = tau.r

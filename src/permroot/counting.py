@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from operator import mul
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_type
 from .families import FamilySpec, enumerate_family
 from .permutation import CycleType
 from .roots import smallest_bunch_size
@@ -52,8 +52,7 @@ def double_factorial(k: int) -> int:
 
 def count_of_type(rho: CycleType) -> int:
     """Number of permutations of a fixed |rho|-element set with cycle type rho."""
-    if not isinstance(rho, CycleType):
-        raise DomainError(f"rho must be a CycleType, got {rho!r}")
+    check_type(rho, CycleType, "rho")
     out = factorial(rho.total)
     for length, count in rho.pairs:
         out = _exact_div(out, length**count * factorial(count))

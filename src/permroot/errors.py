@@ -1,9 +1,10 @@
-"""Exception types raised by permroot, and its one integer validator.
+"""Exception types raised by permroot, and its integer and type validators.
 
 Every precondition violation surfaces as one of these; the library never
 aborts the process on bad input.  Integer parameters (degrees, moduli,
 sizes, lengths, exponents, elements) are checked by ``check_int``, which
-refuses ``bool`` and every non-``int`` with a ``DomainError``.
+refuses ``bool`` and every non-``int`` with a ``DomainError``; object
+parameters (permutations, cycle types, family specs) by ``check_type``.
 """
 
 
@@ -47,3 +48,10 @@ def check_int(value, name: str, low: int | None = None, high: int | None = None)
             raise DomainError(f"{name} must lie in {low}..{high}, got {value!r}")
         bound = "" if low is None else f" >= {low}"
         raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def check_type(value, cls: type, name: str) -> None:
+    """Raise DomainError unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {cls.__name__}, got {value!r}")

@@ -9,21 +9,23 @@ multiset of all cycle lengths.
 Enumeration is deliberately brute force: it filters all of S_n, in
 lexicographic order of one-line notation, and is the independent oracle that
 every counting formula and bijection is checked against.  It classifies S_n
-one prefix at a time rather than one permutation at a time: the 24 ways to
-fill the last four positions after a prefix are classified together, through
-a per-n memo keyed by the prefix's cycle structure (1,292 entries at n = 9,
-never n!), so the membership test runs once per (first length, cycle type)
-and only members get cycles.
+one prefix at a time rather than one permutation at a time: the ways to fill
+the last ``_TAIL`` positions after a prefix are classified together, as one
+chunk of key ids for the prefix's signature (its closed cycles and open
+paths), joined from the chunks of the prefixes one longer (``_completions``)
+and memoized per n and level, never with n! entries.  So the membership test
+runs once per (first length, cycle type), and only members get cycles.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 from . import roots
-from .errors import DomainError, EnumerationBoundError, check_int
+from .errors import DomainError, EnumerationBoundError, check_int, check_type
 from .permutation import CycleType, EnrichedPermutation, Permutation
 
 DEFAULT_ENUMERATION_BOUND = 10
@@ -150,6 +152,7 @@ _FAMILIES = {
 # -- predicates on whole permutations (any ground set) ----------------------
 
 def is_regular(p: Permutation, r: int) -> bool:
+    check_type(p, Permutation, "p")
     check_int(r, "r", 2)
     return _regular(p.cycle_lengths(), r)
 
@@ -157,12 +160,15 @@ def is_regular(p: Permutation, r: int) -> bool:
 def is_nearly_regular(p: Permutation, r: int) -> bool:
     """Every cycle regular except the one containing the ground-set minimum,
     which is singular.  False for the empty permutation."""
+    check_type(p, Permutation, "p")
     check_int(r, "r", 2)
     return _nearly_regular(p.cycle_lengths(), r)
 
 
 def classify(p: Permutation, spec: FamilySpec) -> bool:
     """True iff ``p`` (a permutation of [spec.n]) belongs to the family."""
+    check_type(p, Permutation, "p")
+    check_type(spec, FamilySpec, "spec")
     if p.ground_set() != frozenset(range(1, spec.n + 1)):
         raise DomainError(f"ground set is not [{spec.n}]")
     _, member = _FAMILIES[spec.tag]
@@ -172,18 +178,26 @@ def classify(p: Permutation, spec: FamilySpec) -> bool:
 # -- enumeration -------------------------------------------------------------
 
 # enumerate_family fixes the first n - _TAIL positions of the one-line form (a
-# prefix) and classifies all _TAIL! completions of a prefix at once.
-_TAIL = 4
+# prefix) and classifies all _TAIL! completions of a prefix at once: S_9 has
+# 504 prefixes.  A new signature costs m reductions, not m! walks, so a long
+# tail is cheap; on the verify-grid benchmark 6 beat 5, and 7 scans S_9 no
+# faster from cold.
+_TAIL = 6
 
 # The largest n that enumerate_family scans, whatever its bound: a key id is
 # one byte, and S_13 has 272 keys (S_12 has 195).  S_13 is 6.2e9 permutations.
+# A scan of S_10, the default bound, leaves 11,419 chunks and 97 keys in the
+# memo, about 3.1 MB; S_11 leaves 32,052 chunks (11 MB) and S_12 88,301
+# (38 MB), which it keeps for the life of the process.
 _MAX_N = 12
 
-# n -> (signature -> chunk, key -> key id): the classified completions of each
-# prefix contraction met so far (see _signature and _completions) and the ids
-# of the keys they hold.  Kept for the life of the process; at n = 9 it holds
-# 1,292 signatures and 67 keys, never n! entries.
-_COMPLETIONS: dict[int, tuple[dict[bytes, bytes], dict[tuple, int]]] = {}
+# n -> (memo, key -> key id).  memo[m] maps the signature of each prefix with
+# m open positions met so far (see _signature and _reduce) to its chunk: the
+# key ids of its m! completions in lexicographic order, so memo[0] maps each
+# whole permutation's signature to its one key id.  Kept for the life of the
+# process; after a scan of S_9 it holds 67, 165, 424, 922, 1,292, 897 and 316
+# chunks for m = 0..6 and 67 keys, never n! entries.
+_COMPLETIONS: dict[int, tuple[list[dict[bytes, bytes]], dict[tuple, int]]] = {}
 
 
 def _cycles_of_one_line(img: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -247,39 +261,57 @@ def _signature(prefix: tuple[int, ...], heads: list[int], n: int) -> bytes:
     return bytes(sig)
 
 
-def _completions(sig: bytes, m: int, key_ids: dict[tuple, int]) -> bytes:
-    """Classify the m! completions of a prefix with signature ``sig``: a
-    completion sends the j-th tail to the head its j-th entry picks, in
-    lexicographic order.  Returns one key id per completion, adding new keys
-    to ``key_ids``; a key is (length of the cycle of 1, the other lengths
-    sorted), or () for n = 0."""
-    tails, lengths, one, closed = sig[:m], sig[m:2 * m], sig[2 * m], sig[2 * m + 1:]
-    chunk = bytearray()
-    for picks in itertools.permutations(range(m)):
-        cycle_lengths = list(closed)
-        first = one - m  # 1 lies on a closed cycle, unless on path number one
-        done = bytearray(m)
-        for i in range(m):
-            total = 0
-            holds_one = False
-            j = i
-            while not done[j]:
-                done[j] = 1
-                holds_one |= j == one
-                total += lengths[j]
-                j = picks[tails[j]]
-            if total:
-                cycle_lengths.append(total)
-                if holds_one:
-                    first = total
-        cycle_lengths.sort()
-        if cycle_lengths:
-            cycle_lengths.remove(first)
-            key = (first, *cycle_lengths)
+def _reduce(sig: bytes, m: int, c: int) -> bytes:
+    """The signature of the prefix one longer that sends the first open
+    position to head c.  That position is the tail of some path p: p == c
+    closes p into a cycle, any other c joins p to path c, which then starts
+    at p's head and ends at c's tail.  Every tail moves down one position,
+    the paths after c move down one index, and so does 1's entry when it
+    names one of them or a closed cycle (m + its length)."""
+    tails = [t - 1 for t in sig[:m]]
+    lengths = list(sig[m:2 * m])
+    one = sig[2 * m]
+    closed = list(sig[2 * m + 1:])
+    p = tails.index(-1)
+    if p == c:
+        bisect.insort(closed, lengths[p])
+        if one == p:
+            one = m + lengths[p]
+    else:
+        tails[p] = tails[c]
+        lengths[p] += lengths[c]
+        if one == c:
+            one = p
+    del tails[c], lengths[c]
+    if one > c:
+        one -= 1
+    return bytes([*tails, *lengths, one, *closed])
+
+
+def _completions(
+    sig: bytes, m: int, memo: list[dict[bytes, bytes]], key_ids: dict[tuple, int]
+) -> bytes:
+    """The key ids of the m! completions of a prefix with signature ``sig``,
+    in lexicographic order, memoized in ``memo[m]``.  The completions that
+    send the first open position to head c come c-th, as the completions of
+    ``_reduce(sig, m, c)``; at m = 0 the chunk is the one key id of the
+    permutation, adding its key to ``key_ids``.  A key is (length of the
+    cycle of 1, the other lengths sorted), or () for n = 0."""
+    chunk = memo[m].get(sig)
+    if chunk is None:
+        if m:
+            chunk = b"".join([
+                _completions(_reduce(sig, m, c), m - 1, memo, key_ids) for c in range(m)
+            ])
         else:
+            first, lengths = sig[0], list(sig[1:])
             key = ()
-        chunk.append(key_ids.setdefault(key, len(key_ids)))
-    return bytes(chunk)
+            if first:  # n >= 1: the cycle of 1 is one of the closed lengths
+                lengths.remove(first)
+                key = (first, *lengths)
+            chunk = bytes((key_ids.setdefault(key, len(key_ids)),))
+        memo[m][sig] = chunk
+    return chunk
 
 
 def enumerate_family(
@@ -289,8 +321,10 @@ def enumerate_family(
     of one-line notation.  Refuses n beyond ``bound`` or beyond 12.
 
     Every prefix (the first n - m images, m = min(n, _TAIL)) is contracted
-    to a signature, whose m! completions are classified once per process;
-    the membership test then runs once per key, and only members get cycles."""
+    to a signature, whose m! completions are classified once per process
+    (see _completions); the membership test then runs once per key, and only
+    members get cycles."""
+    check_type(spec, FamilySpec, "spec")
     check_int(bound, "bound", 0)
     if spec.n > bound:
         raise EnumerationBoundError(f"n={spec.n} exceeds the enumeration bound {bound}")
@@ -299,16 +333,14 @@ def enumerate_family(
     _, member = _FAMILIES[spec.tag]
     n = spec.n
     m = min(n, _TAIL)
-    memo, key_ids = _COMPLETIONS.setdefault(n, ({}, {}))
+    memo, key_ids = _COMPLETIONS.setdefault(n, ([{} for _ in range(m + 1)], {}))
     values = frozenset(range(1, n + 1))
     verdicts = bytearray(256)  # key id -> 1 for a member
     tested = 0  # the first `tested` key ids have their verdict
     for prefix in itertools.permutations(range(1, n + 1), n - m):
         heads = sorted(values.difference(prefix))
         sig = _signature(prefix, heads, n)
-        chunk = memo.get(sig)
-        if chunk is None:
-            chunk = memo[sig] = _completions(sig, m, key_ids)
+        chunk = _completions(sig, m, memo, key_ids)
         if tested < len(key_ids):
             for key in itertools.islice(key_ids, tested, None):
                 verdicts[key_ids[key]] = 1 if member(key, spec) else 0

@@ -26,7 +26,7 @@ import itertools
 from math import gcd, lcm
 from operator import itemgetter
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_type
 from .permutation import CycleType, Permutation
 
 BRUTE_FORCE_BOUND = 8
@@ -70,6 +70,7 @@ def has_root_prime_power(sigma: Permutation, q: int, l: int) -> bool:
     length is a multiple of q must be a multiple of q**l.  Once
     l >= n.bit_length(), q**l > n and no count 1 <= c <= n is a multiple
     of it, so l is capped there before the power is built."""
+    check_type(sigma, Permutation, "sigma")
     check_int(q, "q", 2)
     if not is_prime(q):
         raise DomainError(f"q must be prime, got {q}")
@@ -118,6 +119,7 @@ def type_has_root(lengths, r: int) -> bool:
 
 def has_root_general(sigma: Permutation, r: int) -> bool:
     """Root existence for arbitrary r >= 2 via the per-length step rule."""
+    check_type(sigma, Permutation, "sigma")
     check_int(r, "root degree", 2)
     return type_has_root(sigma.cycle_lengths(), r)
 
@@ -125,8 +127,7 @@ def has_root_general(sigma: Permutation, r: int) -> bool:
 def is_qr_divisible(rho: CycleType, q: int, r: int) -> bool:
     """True iff every length in rho is divisible by q and every multiplicity
     is divisible by r; vacuously true for the empty type."""
-    if not isinstance(rho, CycleType):
-        raise DomainError(f"rho must be a CycleType, got {rho!r}")
+    check_type(rho, CycleType, "rho")
     check_int(q, "q", 2)
     check_int(r, "r", 2)
     return all(ln % q == 0 and ct % r == 0 for ln, ct in rho.pairs)
@@ -170,6 +171,7 @@ def find_root_bruteforce(sigma: Permutation, r: int) -> Permutation | None:
     r-th power moves the least element elsewhere than sigma does is
     rejected after one walk of that element's cycle, before its full power
     is built."""
+    check_type(sigma, Permutation, "sigma")
     check_int(r, "root degree", 2)
     _check_brute_force_size(sigma.size)
     elems = sigma.elements()

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from permroot import bijections as bij
 from permroot import counting as cnt
 from permroot import oeis, roots, verify
-from permroot.errors import DomainError, PermrootError, check_int
+from permroot.errors import DomainError, PermrootError, check_int, check_type
 from permroot.families import (
     FamilySpec,
+    classify,
     enumerate_family,
     enumerate_regular_on,
     is_nearly_regular,
@@ -210,6 +211,25 @@ MOTIVATING_CASES = [
     (cnt.count_of_type, (None,)),
     (cnt.count_S_rho_q, (None, 2, 4)),
     (FamilySpec.singular_type, ("2^2", 2, 4)),
+    (roots.has_root_general, (None, 2)),
+    (roots.has_root_prime_power, (None, 2, 1)),
+    (roots.find_root_bruteforce, (None, 2)),
+    (bij.extract_element, (None, 2)),
+    (bij.insert_element, (1, None, 2)),
+    (bij.extend_regular, (None, 1, 2)),
+    (bij.grow_first_cycle, (None, 2)),
+    (bij.shrink_first_cycle, (None, 2)),
+    (bij.to_nearly_regular, (None, 2)),
+    (bij.from_nearly_regular, (None,)),
+    (bij.split_nearly_regular, (Permutation([[1, 2]]),)),
+    (bij.to_enriched_cycles, ("(1 2)", 2)),
+    (bij.from_enriched_cycles, (None,)),
+    (bij.from_enriched_cycles, (Permutation([[1, 2]]),)),
+    (classify, (None, FamilySpec.everything(2))),
+    (classify, (Permutation([[1, 2]]), None)),
+    (is_regular, (None, 2)),
+    (is_nearly_regular, (None, 2)),
+    (lambda: next(enumerate_family("all")), ()),
 ]
 
 
@@ -217,3 +237,12 @@ MOTIVATING_CASES = [
 def test_bad_integers_raise_permroot_error(call, args):
     with pytest.raises(PermrootError):
         call(*args)
+
+
+def test_check_type_names_the_expected_class():
+    check_type(parse("(1 2)"), Permutation, "sigma")
+    with pytest.raises(DomainError, match=r"^sigma must be a Permutation, got None$"):
+        check_type(None, Permutation, "sigma")
+    message = r"^tau must be an EnrichedPermutation, got Permutation\('\(1 2\)'\)$"
+    with pytest.raises(DomainError, match=message):
+        bij.from_enriched_cycles(parse("(1 2)"))

@@ -1,10 +1,11 @@
 import hashlib
 import itertools
+import math
 
 import pytest
 
 from permroot import families
-from permroot.counting import count_reg
+from permroot.counting import count_cyc, count_cyc_qr, count_reg
 from permroot.errors import DomainError, EnumerationBoundError, InvalidPermutationError
 from permroot.families import (
     _FAMILIES,
@@ -272,7 +273,69 @@ def test_membership_reads_first_length_and_multiset_only():
 def test_scan_keeps_no_per_permutation_state():
     assert sum(1 for _ in enumerate_family(FamilySpec.uniform_multiples(3, 3, 9))) == 2240
     memo, keys = families._COMPLETIONS[9]
-    assert len(memo) + len(keys) < 2000
-    # one chunk of 4! key ids per signature, nothing with 9! entries
-    assert all(len(chunk) == 24 for chunk in memo.values())
+    # one memo per level j <= _TAIL, holding chunks of j! key ids; a few
+    # thousand chunks in all, nothing with 9! entries
+    assert len(memo) == families._TAIL + 1
+    for j, level in enumerate(memo):
+        assert all(len(chunk) == math.factorial(j) for chunk in level.values())
+    assert sum(map(len, memo)) + len(keys) < 5000
     assert set(families._COMPLETIONS) <= set(range(10))
+
+
+def _walk_completions(sig, m):
+    """The keys of the m! completions of a prefix with signature ``sig``, in
+    lexicographic order, by walking the cycles of each completion: the
+    completion that sends the j-th tail to head picks[j] joins path i to
+    path picks[tails[i]]."""
+    tails, lengths, one, closed = sig[:m], sig[m:2 * m], sig[2 * m], sig[2 * m + 1:]
+    keys = []
+    for picks in itertools.permutations(range(m)):
+        cycle_lengths = list(closed)
+        first = one - m  # 1 lies on a closed cycle, unless on path number one
+        done = bytearray(m)
+        for i in range(m):
+            total = 0
+            holds_one = False
+            j = i
+            while not done[j]:
+                done[j] = 1
+                holds_one |= j == one
+                total += lengths[j]
+                j = picks[tails[j]]
+            if total:
+                cycle_lengths.append(total)
+                if holds_one:
+                    first = total
+        cycle_lengths.sort()
+        if cycle_lengths:
+            cycle_lengths.remove(first)
+            keys.append((first, *cycle_lengths))
+        else:
+            keys.append(())
+    return keys
+
+
+def test_recursive_chunks_match_direct_walk():
+    """Every chunk the scans of S_n (n <= 9) memoize, at every level, decodes
+    to the keys a direct walk of its signature's completions gives."""
+    for n in range(9):
+        assert sum(1 for _ in enumerate_family(FamilySpec.cycle(2, n))) == count_cyc(2, n)
+    for spec in (
+        FamilySpec.regular(2, 9), FamilySpec.cycle(3, 9), FamilySpec.uniform_multiples(3, 3, 9)
+    ):
+        for _ in enumerate_family(spec):
+            pass
+    for n in range(10):
+        memo, key_ids = families._COMPLETIONS[n]
+        keys = list(key_ids)
+        for m, level in enumerate(memo):
+            for sig, chunk in level.items():
+                assert [keys[i] for i in chunk] == _walk_completions(sig, m), (n, sig)
+
+
+def test_uniform_multiples_at_10_streams_its_count():
+    spec = FamilySpec.uniform_multiples(2, 5, 10)
+    try:
+        assert sum(1 for _ in enumerate_family(spec)) == count_cyc_qr(2, 5, 10) == 945
+    finally:
+        families._COMPLETIONS.pop(10, None)  # drop the S_10 chunks the other tests do not use
