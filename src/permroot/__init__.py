@@ -62,7 +62,6 @@ from .permutation import (
     parse,
     parse_cycle_type,
 )
-from .report import VerificationReport, golden_compare, golden_diff
 from .roots import (
     brute_force_root_table,
     find_root_bruteforce,
@@ -75,10 +74,17 @@ from .roots import (
 __version__ = "0.1.0"
 
 
+# name -> its submodule, loaded on first use: verify brings concurrent.futures,
+# report json and dataclasses.  import_module, unlike "from . import verify",
+# does not come back to __getattr__.
+_LAZY = {
+    **dict.fromkeys(("verify", "run_suite", "run_suites", "suite_ids"), "verify"),
+    **dict.fromkeys(("report", "VerificationReport", "golden_compare", "golden_diff"), "report"),
+}
+
+
 def __getattr__(name):
-    # verify, and concurrent.futures with it, loads on first use; import_module
-    # does not come back here, where "from . import verify" would recurse
-    if name in ("verify", "run_suite", "run_suites", "suite_ids"):
-        verify = importlib.import_module(".verify", __name__)
-        return verify if name == "verify" else getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)

@@ -11,14 +11,12 @@ their answers.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import bijections as bij
 from . import counting as cnt
@@ -31,7 +29,6 @@ from .families import (
     enumerate_family,
 )
 from .permutation import parse, parse_cycle_type
-from .report import golden_diff, write_reports
 from .roots import BRUTE_FORCE_BOUND, find_root_bruteforce, has_root_general
 
 EXIT_OK = 0
@@ -254,9 +251,15 @@ def _family_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
 
 
+def _print_json(payload: dict) -> None:
+    import json  # only --format json output loads it
+
+    print(json.dumps(payload, sort_keys=True))
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print(text)
 
@@ -356,8 +359,7 @@ _K = ("k", lambda args: args.k, "--k")
 _RHO = ("rho", lambda args: args.rho, "--rho")
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """One ``--family`` name: the flags read into params, the FamilySpec built
     from them, its exact counts by method (called with params as keywords) and
     the stream that ``enumerate`` prints, which is also its ``enumerate`` count."""
@@ -464,7 +466,7 @@ def _cmd_enumerate(args) -> int:
             "count": len(items),
             "items": items,
         }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         # one line per member as it comes, so memory stays flat in n!
         for p in members:
@@ -473,7 +475,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # verify, and the process pool with it, loads only when a suite runs
+    # verify and report, and the process pool with them, load only here
+    from .report import golden_diff, write_reports
     from .verify import run_suites, suite_ids
 
     if args.jobs < 1:
@@ -498,7 +501,7 @@ def _cmd_verify(args) -> int:
             "passed": passed,
             "reports": [r.to_json_dict() for r in reports],
         }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         for r in reports:
             line = f"{r.status.upper():4s} {r.property_id} ({r.counts_checked} checked)"

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import roots
@@ -31,38 +30,60 @@ from .permutation import CycleType, EnrichedPermutation, Permutation
 DEFAULT_ENUMERATION_BOUND = 10
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """A named family of permutations of [n] with its parameters; the tag
-    picks the family's entry in ``_FAMILIES``."""
+    picks the family's entry in ``_FAMILIES``.  Immutable, and equal (with
+    an equal hash) only to a FamilySpec with the same fields."""
 
-    tag: str
-    n: int
-    r: int | None = None
-    q: int | None = None
-    k: int | None = None
-    rho: CycleType | None = None
+    __slots__ = ("tag", "n", "r", "q", "k", "rho")
 
-    def __post_init__(self):
-        if self.tag not in _FAMILIES:
-            raise DomainError(f"unknown family tag {self.tag!r}")
-        check_int(self.n, "n", 0)
-        params, _ = _FAMILIES[self.tag]
+    def __init__(self, tag: str, n: int, r: int | None = None, q: int | None = None,
+                 k: int | None = None, rho: CycleType | None = None):
+        for name, value in zip(self.__slots__, (tag, n, r, q, k, rho)):
+            object.__setattr__(self, name, value)
+        if tag not in _FAMILIES:
+            raise DomainError(f"unknown family tag {tag!r}")
+        check_int(n, "n", 0)
+        params, _ = _FAMILIES[tag]
         for name in params:  # in the order listed: cyc-qr checks q before r
             if name in ("r", "q"):
                 check_int(getattr(self, name), name, 2)
         if "k" in params:
-            check_int(self.k, "k")
-            if self.k > self.n:
-                raise DomainError(f"need n >= {self.k} for a first cycle of length {self.k}")
-            check_int(self.k, "k", 1, self.n)
+            check_int(k, "k")
+            if k > n:
+                raise DomainError(f"need n >= {k} for a first cycle of length {k}")
+            check_int(k, "k", 1, n)
         if "rho" in params:
-            if not isinstance(self.rho, CycleType):
+            if not isinstance(rho, CycleType):
                 raise DomainError("singular-type family needs a cycle type rho")
-            if self.rho.total > self.n:
-                raise DomainError(f"|rho|={self.rho.total} exceeds n={self.n}")
-            if any(ln % self.q != 0 for ln in self.rho.lengths()):
+            if rho.total > n:
+                raise DomainError(f"|rho|={rho.total} exceeds n={n}")
+            if any(ln % q != 0 for ln in rho.lengths()):
                 raise DomainError("rho contains a length not divisible by q")
+
+    def _fields(self) -> tuple:
+        return self.tag, self.n, self.r, self.q, self.k, self.rho
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        pairs = zip(self.__slots__, self._fields())
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     @classmethod
     def regular(cls, r: int, n: int) -> "FamilySpec":
@@ -187,16 +208,17 @@ _TAIL = 6
 # The largest n that enumerate_family scans, whatever its bound: a key id is
 # one byte, and S_13 has 272 keys (S_12 has 195).  S_13 is 6.2e9 permutations.
 # A scan of S_10, the default bound, leaves 11,419 chunks and 97 keys in the
-# memo, about 3.1 MB; S_11 leaves 32,052 chunks (11 MB) and S_12 88,301
-# (38 MB), which it keeps for the life of the process.
+# memo, about 3.1 MB; a scan of S_11 builds 32,052 chunks (11 MB) and S_12
+# 88,301 (38 MB), which are dropped when the scan ends.
 _MAX_N = 12
 
 # n -> (memo, key -> key id).  memo[m] maps the signature of each prefix with
 # m open positions met so far (see _signature and _reduce) to its chunk: the
 # key ids of its m! completions in lexicographic order, so memo[0] maps each
 # whole permutation's signature to its one key id.  Kept for the life of the
-# process; after a scan of S_9 it holds 67, 165, 424, 922, 1,292, 897 and 316
-# chunks for m = 0..6 and 67 keys, never n! entries.
+# process for n <= DEFAULT_ENUMERATION_BOUND, and for a larger n only until a
+# scan of it ends or is closed; after a scan of S_9 it holds 67, 165, 424,
+# 922, 1,292, 897 and 316 chunks for m = 0..6 and 67 keys, never n! entries.
 _COMPLETIONS: dict[int, tuple[list[dict[bytes, bytes]], dict[tuple, int]]] = {}
 
 
@@ -322,8 +344,8 @@ def enumerate_family(
 
     Every prefix (the first n - m images, m = min(n, _TAIL)) is contracted
     to a signature, whose m! completions are classified once per process
-    (see _completions); the membership test then runs once per key, and only
-    members get cycles."""
+    (see _completions; above the default bound, once per scan); the
+    membership test then runs once per key, and only members get cycles."""
     check_type(spec, FamilySpec, "spec")
     check_int(bound, "bound", 0)
     if spec.n > bound:
@@ -337,18 +359,22 @@ def enumerate_family(
     values = frozenset(range(1, n + 1))
     verdicts = bytearray(256)  # key id -> 1 for a member
     tested = 0  # the first `tested` key ids have their verdict
-    for prefix in itertools.permutations(range(1, n + 1), n - m):
-        heads = sorted(values.difference(prefix))
-        sig = _signature(prefix, heads, n)
-        chunk = _completions(sig, m, memo, key_ids)
-        if tested < len(key_ids):
-            for key in itertools.islice(key_ids, tested, None):
-                verdicts[key_ids[key]] = 1 if member(key, spec) else 0
-            tested = len(key_ids)
-        mask = chunk.translate(verdicts)
-        if 1 in mask:
-            for tail in itertools.compress(itertools.permutations(heads), mask):
-                yield Permutation._from_canonical(_cycles_of_one_line(prefix + tail))
+    try:
+        for prefix in itertools.permutations(range(1, n + 1), n - m):
+            heads = sorted(values.difference(prefix))
+            sig = _signature(prefix, heads, n)
+            chunk = _completions(sig, m, memo, key_ids)
+            if tested < len(key_ids):
+                for key in itertools.islice(key_ids, tested, None):
+                    verdicts[key_ids[key]] = 1 if member(key, spec) else 0
+                tested = len(key_ids)
+            mask = chunk.translate(verdicts)
+            if 1 in mask:
+                for tail in itertools.compress(itertools.permutations(heads), mask):
+                    yield Permutation._from_canonical(_cycles_of_one_line(prefix + tail))
+    finally:
+        if n > DEFAULT_ENUMERATION_BOUND:
+            _COMPLETIONS.pop(n, None)
 
 
 def enumerate_regular_on(elements, r: int) -> Iterator[Permutation]:

@@ -13,14 +13,15 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import counting
 from .errors import DomainError, SequenceLookupError, check_int
-from .report import VerificationReport, run_property
+
+if TYPE_CHECKING:
+    from .report import VerificationReport
 
 CACHE_DIR_ENV = "PERMROOT_CACHE_DIR"
 SOURCES = ("fixture", "cache", "network")
@@ -37,8 +38,7 @@ GENERATORS: dict[str, tuple[str, Callable[[int], int]]] = {
 _ID_RE = re.compile(r"A\d{6}")
 
 
-@dataclass(frozen=True)
-class SequenceRef:
+class SequenceRef(NamedTuple):
     """An OEIS sequence prefix: (index, value) pairs with strictly
     increasing indices and exact integer values."""
 
@@ -202,6 +202,8 @@ def cross_check(
     """The report of ``term_checks``: it fails at the first term of index
     <= upto where ``generator(index)`` differs, and an ``upto`` outside the
     sequence's indices raises DomainError."""
+    from .report import run_property  # report, with json and dataclasses, loads on first use
+
     return run_property(
         f"oeis/{seq.oeis_id}", {"oeis_id": seq.oeis_id, "upto": upto},
         term_checks(seq, generator, upto),

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -360,7 +359,7 @@ class TestEnumerate:
             seen_before_second.append(out.getvalue())
             yield cli.parse("(1 2)")
 
-        family = dataclasses.replace(cli.FAMILIES["all"], stream=stream)
+        family = cli.FAMILIES["all"]._replace(stream=stream)
         monkeypatch.setitem(cli.FAMILIES, "all", family)
         monkeypatch.setattr("sys.stdout", out)
         assert main(["enumerate", "--family", "all", "--n", "2"]) == 0
@@ -645,16 +644,25 @@ class TestCallCost:
     def test_verify_and_network_load_on_use(self):
         done = permroot_subprocess(code="""
 import sys
-lazy = ("permroot.verify", "concurrent.futures", "urllib.request")
+lazy = (
+    "permroot.verify", "concurrent.futures", "urllib.request",
+    "dataclasses", "json", "permroot.report",
+)
 import permroot
 print(*[m for m in lazy if m in sys.modules])
 from permroot import cli
 cli.main(["root", "(1 2)", "--r", "2"])
 print(*[m for m in lazy if m in sys.modules])
+print(permroot.golden_diff.__module__, permroot.VerificationReport.__name__,
+      *[m for m in lazy if m in sys.modules])
 print(permroot.run_suites.__module__, len(permroot.suite_ids()), permroot.verify.__name__)
 """)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["", "no", "", "permroot.verify 9 permroot.verify"]
+        assert done.stdout.splitlines() == [
+            "", "no", "",
+            "permroot.report VerificationReport dataclasses json permroot.report",
+            "permroot.verify 9 permroot.verify",
+        ]
 
     @pytest.mark.parametrize("argv, answer", [
         (("count", "--family", "roots", "--q", "3", "--l", "50", "--n", "12"), "216832000\n"),

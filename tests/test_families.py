@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -70,6 +71,44 @@ class TestClassify:
     def test_rho_with_regular_length_rejected(self):
         with pytest.raises(DomainError):
             FamilySpec.singular_type(parse_cycle_type("3"), 2, 5)
+
+
+class TestFamilySpec:
+    """FamilySpec keeps the contract of a frozen dataclass of its fields."""
+
+    def test_repr(self):
+        assert repr(FamilySpec.regular(2, 5)) == (
+            "FamilySpec(tag='reg', n=5, r=2, q=None, k=None, rho=None)"
+        )
+
+    def test_equal_specs_hash_equal(self):
+        spec = FamilySpec.regular(2, 5)
+        assert spec == FamilySpec("reg", 5, r=2) and hash(spec) == hash(FamilySpec("reg", 5, r=2))
+        assert spec != FamilySpec.regular(3, 5) and spec != FamilySpec.cycle(2, 5)
+        assert len({spec, FamilySpec("reg", 5, r=2), FamilySpec.regular(3, 5)}) == 2
+
+    def test_not_equal_to_a_plain_tuple(self):
+        spec = FamilySpec.regular(2, 5)
+        assert spec != ("reg", 5, 2, None, None, None)
+        assert ("reg", 5, 2, None, None, None) != spec
+
+    def test_attributes_are_immutable(self):
+        spec = FamilySpec.regular(2, 5)
+        with pytest.raises(AttributeError):
+            spec.n = 6
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+        with pytest.raises(AttributeError):
+            del spec.r
+        assert spec.n == 5 and spec.r == 2
+
+    def test_pickle_round_trip(self):
+        for spec in (
+            FamilySpec.regular(2, 5),
+            FamilySpec.first_cycle(3, 2, 7),
+            FamilySpec.singular_type(parse_cycle_type("2^2"), 2, 6),
+        ):
+            assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 class TestEnumerate:
@@ -280,6 +319,17 @@ def test_scan_keeps_no_per_permutation_state():
         assert all(len(chunk) == math.factorial(j) for chunk in level.values())
     assert sum(map(len, memo)) + len(keys) < 5000
     assert set(families._COMPLETIONS) <= set(range(10))
+
+
+def test_scan_above_default_bound_frees_its_memo():
+    """The S_11 chunks (11 MB) go when the scan ends or is closed."""
+    assert list(enumerate_family(FamilySpec.cycle(4, 11), bound=11)) == []
+    assert 11 not in families._COMPLETIONS
+    scan = enumerate_family(FamilySpec.everything(11), bound=11)
+    assert next(scan).one_line() == tuple(range(1, 12))
+    assert 11 in families._COMPLETIONS
+    scan.close()
+    assert 11 not in families._COMPLETIONS
 
 
 def _walk_completions(sig, m):
