@@ -8,18 +8,25 @@ one another.
 
 Root counts, enriched cycle permutations and uniform-type families all come
 from one DP over cycle types, on EGF coefficients scaled by n! so that they
-stay integers.  Its free pass (an exponential-formula recurrence) takes every
-cycle length with free multiplicity; its bunched pass (one in-place
-convolution per length) every length whose multiplicity must be a multiple
-of a step s > 1.  ``root_count_sequence`` runs both on one array and
-unscales every row; a single count runs them on separate arrays and combines
-them at row n only.  No binomial or factorial is recomputed per term.
+stay integers, A[m] = dp[m] n!/m!.  Its free pass takes every cycle length L
+with free multiplicity and weight w_L.  The weights repeat with a period P,
+so the exponential-formula recurrence m A[m] = sum_L w_L A[m-L] becomes
+
+    m A[m] = (m-P) A[m-P] (for m > P) + sum_{L <= min(P, m)} w_L A[m-L],
+
+O(n P) big-integer steps instead of O(n^2): P = rad(r) for the roots of
+order r (the lengths prime to r), P = r for the enriched cycles.  Its
+bunched pass (one in-place convolution per length) takes every length whose
+multiplicity must be a multiple of a step s > 1.  ``root_count_sequence``
+runs both on one array and unscales every row; a single count runs them on
+separate arrays and combines them at row n only.  No binomial or factorial
+is recomputed per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from operator import mul
 
 from .errors import DomainError, check_int, check_type
@@ -127,31 +134,62 @@ def count_cyc(r: int, n: int, method: str = "formula") -> int:
 
 
 # -- dynamic programming over cycle types --------------------------------------
+#
+# A spec (length, step, weight) admits cycles of that length in multiplicities
+# that are multiples of step, each cycle contributing a factor weight.  The
+# free specs have step 1; the bunched ones step > 1.  Every caller builds the
+# two lists apart: free sorted by length, every length at most n, and only the
+# bunched specs whose smallest bunch, step * length, fits in n (which also
+# keeps a huge step out of length**step).
 
-def _split_specs(n: int, length_specs) -> tuple[list, list]:
-    """The free specs (step 1, by length) and the bunched ones (step > 1).
-    A spec whose smallest bunch does not fit in n cannot contribute; dropping
-    it here also keeps a huge step out of length**step."""
-    free = []
-    bunched = []
-    for spec in length_specs:
-        length, step, _ = spec
-        if step * length <= n:
-            (free if step == 1 else bunched).append(spec)
-    free.sort()
-    return free, bunched
+def _free_period(n: int, free) -> int:
+    """The smallest p with 2p <= n at which the free weights repeat, else n.
+
+    With s_k the weight of free length k+1 (0 if k+1 is not free), p is a
+    period when s_k = s_{k-p} for p <= k < n; n always is one.  A period
+    p < n maps the smallest free length to a free length p further on, so
+    the candidates are those gaps, and the list of s is built only once a
+    candidate fits twice in n."""
+    weights = None
+    for length, _, _ in free[1:]:
+        period = length - free[0][0]
+        if 2 * period > n:
+            break
+        if weights is None:
+            weights = [0] * n
+            for free_length, _, weight in free:
+                weights[free_length - 1] += weight
+        if weights[period:] == weights[:-period]:
+            return period
+    return n
 
 
 def _free_pass(n: int, free) -> list[int]:
-    """A for the step-1 lengths alone, from A[0] = n!.  Their EGF is
+    """A for the free specs alone, from A[0] = n!.  Their EGF is
     exp(sum_L w_L x^L/L); differentiating gives m a_m = sum_L w_L a_{m-L} on
     its coefficients a_m = dp[m]/m!, which reads m A[m] = sum_L w_L A[m-L].
-    The division by m is exact because A[m] is an integer."""
+
+    The weights s_k = w_{k+1} repeat with period P (``_free_period``), so
+    T_m = m A[m] satisfies T_m - T_{m-P} = sum_{k<P} s_k A[m-1-k]:
+
+        m A[m] = (m-P) A[m-P] (when m > P) + sum_{L <= min(P, m)} w_L A[m-L].
+
+    Each row reads the free lengths up to P only, O(n P) big-integer steps
+    in all instead of O(n^2): P = rad(r), the product of the primes of r,
+    for the roots of order r, P = r for the enriched cycles, and P = n, the
+    plain sum, when nothing repeats.  The division by m is exact because
+    A[m] is an integer."""
+    period = _free_period(n, free)
     scaled = [factorial(n)] + [0] * n
     for m in range(1, n + 1):
-        total = 0
+        if m > period:
+            total = (m - period) * scaled[m - period]
+            top = period
+        else:
+            total = 0
+            top = m
         for length, _, weight in free:
-            if length > m:
+            if length > top:
                 break
             total += scaled[m - length] if weight == 1 else weight * scaled[m - length]
         scaled[m] = total // m
@@ -187,18 +225,16 @@ def _bunched_pass(scaled: list[int], bunched) -> list[int]:
     return scaled
 
 
-def _type_dp(n: int, length_specs) -> list[int]:
-    """Count permutations by admissible cycle types.
-
-    ``length_specs`` yields (length, step, weight): multiplicities of that
-    cycle length are restricted to multiples of ``step`` and each cycle
-    contributes a factor ``weight``.  Lengths not listed are forbidden.
-    Returns dp where dp[u] counts weighted permutations of a u-element set.
+def _type_dp(n: int, free, bunched) -> list[int]:
+    """Count permutations by admissible cycle types: dp[u] counts the
+    weighted permutations of a u-element set whose cycles follow the free
+    and bunched specs (see above); lengths in neither are forbidden.
 
     The DP runs on the scaled EGF coefficients A[u] = dp[u] * n!/u!, which
     are integers because n!/u! = (u+1)...n is, in two passes on one array:
-    ``_free_pass`` for the step-1 lengths, then ``_bunched_pass`` for the
-    others.  Finally dp[u] = A[u] / (n!/u!), exact by the definition of A.
+    ``_free_pass`` (O(n P) for free weights of period P), then
+    ``_bunched_pass``.  Finally dp[u] = A[u] / (n!/u!), exact by the
+    definition of A.
 
     ``_type_dp_row`` needs dp[n] = A[n] only.  The EGF is the product of its
     free and bunched parts, so it runs the passes apart (E and B, both from
@@ -207,7 +243,6 @@ def _type_dp(n: int, length_specs) -> list[int]:
     leaves, and skips its zero sources.  An empty side is [n!, 0, ..., 0],
     so the same sum serves specs that are all free or all bunched.
     """
-    free, bunched = _split_specs(n, length_specs)
     scaled = _bunched_pass(_free_pass(n, free), bunched)
     dp = [0] * (n + 1)
     scale = 1
@@ -217,9 +252,8 @@ def _type_dp(n: int, length_specs) -> list[int]:
     return dp
 
 
-def _type_dp_row(n: int, length_specs) -> int:
-    """``_type_dp(n, length_specs)[n]``, computed at row n only."""
-    free, bunched = _split_specs(n, length_specs)
+def _type_dp_row(n: int, free, bunched) -> int:
+    """``_type_dp(n, free, bunched)[n]``, computed at row n only."""
     free_part = _free_pass(n, free)
     bunched_part = _bunched_pass([free_part[0]] + [0] * n, bunched)
     return sum(map(mul, free_part, reversed(bunched_part))) // free_part[0]
@@ -231,8 +265,7 @@ def count_enriched_cyc(r: int, n: int) -> int:
     _check_params(r, n)
     if n % r != 0:
         return 0
-    specs = [(length, 1, r - 1) for length in range(r, n + 1, r)]
-    return _type_dp_row(n, specs)
+    return _type_dp_row(n, [(length, 1, r - 1) for length in range(r, n + 1, r)], [])
 
 
 def count_cyc_qr(q: int, r: int, n: int) -> int:
@@ -242,8 +275,7 @@ def count_cyc_qr(q: int, r: int, n: int) -> int:
     _check_params(r, n)
     if n % (q * r) != 0:
         return 0
-    specs = [(length, r, 1) for length in range(q, n + 1, q)]
-    return _type_dp_row(n, specs)
+    return _type_dp_row(n, [], [(length, r, 1) for length in range(q, n // r + 1, q)])
 
 
 def count_q_family(r: int, k: int, n: int) -> int:
@@ -289,18 +321,29 @@ def root_count_sequence(r: int, upto: int) -> list[int]:
     ``smallest_bunch_size(L, r)`` (see ``roots``).
     """
     _check_params(r, upto)
-    return _type_dp(upto, _root_specs(r, upto))
+    return _type_dp(upto, *_root_specs(r, upto))
 
 
-def _root_specs(r: int, n: int) -> list:
-    return [(length, smallest_bunch_size(length, r), 1) for length in range(1, n + 1)]
+def _root_specs(r: int, n: int) -> tuple[list, list]:
+    """The free specs (the lengths prime to r) and the bunched ones, in one
+    pass; the bunch size is computed only where gcd(L, r) > 1."""
+    free = []
+    bunched = []
+    for length in range(1, n + 1):
+        if gcd(length, r) == 1:
+            free.append((length, 1, 1))
+        else:
+            step = smallest_bunch_size(length, r)
+            if step * length <= n:
+                bunched.append((length, step, 1))
+    return free, bunched
 
 
 def count_roots(r: int, n: int) -> int:
     """|S_n^r|, the number of permutations of [n] having an r-th root,
     exact for any r >= 2 and any n; computes row n only."""
     _check_params(r, n)
-    return _type_dp_row(n, _root_specs(r, n))
+    return _type_dp_row(n, *_root_specs(r, n))
 
 
 def prob_root(r: int, n: int) -> Fraction:

@@ -14,6 +14,7 @@ never colored.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 from operator import itemgetter
@@ -384,7 +385,10 @@ def parse_cycle_type(text: str) -> CycleType:
         m = re.fullmatch(r"(\d+)(?:\^(\d+))?", token)
         if m is None:
             raise CycleNotationError(f"bad cycle-type token {token!r}")
-        pairs.append((int(m.group(1)), int(m.group(2) or 1)))
+        try:
+            pairs.append((int(m.group(1)), int(m.group(2) or 1)))
+        except ValueError:
+            raise _digit_limit_error("a cycle-type token") from None
     lengths = [ln for ln, _ in pairs]
     if len(set(lengths)) != len(lengths):
         raise CycleNotationError("cycle type lists a length twice")
@@ -407,7 +411,10 @@ def parse(text: str, r: int | None = None) -> Permutation | EnrichedPermutation:
             raise CycleNotationError(f"unexpected text {text[pos:start]!r}")
         pos = m.end()
         body, color = m.groups()
-        cyc = tuple(map(int, body.split()))
+        try:
+            cyc = tuple(map(int, body.split()))
+        except ValueError:  # only the digit limit: \d+ matched every entry
+            raise _digit_limit_error("a cycle entry") from None
         if 0 in cyc:  # \d+ gives entries >= 0
             raise CycleNotationError("cycle entries must be positive integers")
         cycles.append(cyc)
@@ -424,6 +431,17 @@ def parse(text: str, r: int | None = None) -> Permutation | EnrichedPermutation:
     rotated = _canonical_cycles(cycles)
     triples = sorted(zip(map(itemgetter(0), rotated), rotated, colors))
     base = Permutation._from_canonical(tuple(map(itemgetter(1), triples)))
-    return EnrichedPermutation(
-        base, r, tuple(None if col is None else int(col) for _, _, col in triples)
+    try:
+        ordered_colors = tuple(None if col is None else int(col) for _, _, col in triples)
+    except ValueError:
+        raise _digit_limit_error("a color") from None
+    return EnrichedPermutation(base, r, ordered_colors)
+
+
+def _digit_limit_error(what: str) -> CycleNotationError:
+    """For a run of digits that ``int`` refuses: longer than Python's int/str
+    conversion limit, which the library leaves as the process has it."""
+    return CycleNotationError(
+        f"{what} has more than {sys.get_int_max_str_digits()} digits, Python's "
+        "int/str conversion limit (sys.set_int_max_str_digits)"
     )

@@ -681,6 +681,7 @@ print(permroot.run_suites.__module__, len(permroot.suite_ids()), permroot.verify
         (("root", f"(1 {'9' * 5000})", "--r", "2"), len("no\n")),
         (("root", f"(1 2) (3 {'9' * 5000})", "--r", "2"), 5000),
         (("map", "delta", "--r", "3", f"(1 {'9' * 5000})", "--format", "json"), 5000),
+        (("map", "delta", "--r", "3", f"(1 {'9' * 5000})"), 5000),
     ])
     def test_numbers_past_the_int_str_digit_limit(self, capsys, argv, shortest):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -5,6 +5,9 @@ from math import factorial
 import pytest
 
 from permroot.counting import (
+    _free_pass,
+    _free_period,
+    _root_specs,
     _type_dp,
     _type_dp_row,
     count_AP,
@@ -349,7 +352,7 @@ class TestTypeDP:
         bunched = [spec for spec in mixed if spec[1] > 1]
         for specs in (mixed, free, bunched):
             rules = {length: (step, weight) for length, step, weight in specs}
-            dp = _type_dp(16, specs)
+            dp = _type_dp(16, *_split(16, specs))
             for n in range(17):
                 expected = 0
                 for rho in map(CycleType.of_lengths, _partitions(n, n)):
@@ -359,7 +362,47 @@ class TestTypeDP:
                             weight *= rules[ln][1] ** ct
                         expected += weight * count_of_type(rho)
                 assert dp[n] == expected, (specs, n)
-                assert _type_dp_row(n, specs) == dp[n], (specs, n)
+                assert _type_dp_row(n, *_split(n, specs)) == dp[n], (specs, n)
+
+
+class TestFreePass:
+    """The periodic free pass against the plain exponential-formula
+    recurrence m A[m] = sum_L w_L A[m-L], kept here as the oracle."""
+
+    SIZES = [*range(41), *range(60, 301, 30)]
+
+    def test_root_specs_match_oracle(self):
+        for r in (*range(2, 37), 3**50):
+            for n in self.SIZES:
+                free = _root_specs(r, n)[0]
+                assert _free_pass(n, free) == _free_pass_oracle(n, free), (r, n)
+
+    def test_enriched_specs_match_oracle(self):
+        for r in range(2, 13):
+            for n in range(0, 301, r):
+                free = [(length, 1, r - 1) for length in range(r, n + 1, r)]
+                assert _free_pass(n, free) == _free_pass_oracle(n, free), (r, n)
+
+    def test_weighted_specs_match_oracle(self):
+        # no period fits twice in n, so P = n and the pass is the plain sum;
+        # the first specs are the free side of TestTypeDP's
+        for specs in ([(1, 1, 2), (3, 1, 5)], [(1, 1, 2), (3, 1, 5), (4, 1, 7), (6, 1, 1)]):
+            for n in range(61):
+                free = [spec for spec in specs if spec[0] <= n]
+                assert _free_period(n, free) == n, (specs, n)
+                assert _free_pass(n, free) == _free_pass_oracle(n, free), (specs, n)
+
+    def test_period_found(self):
+        # rad(r) for the roots of order r and r for the enriched cycles,
+        # once the period fits twice in n
+        for r in (*range(2, 37), 3**50):
+            period = _rad(r)
+            for n in (*range(2 * period, 2 * period + 30), 300):
+                assert _free_period(n, _root_specs(r, n)[0]) == period, (r, n)
+        for r in range(2, 13):
+            for n in range(2 * r, 301, r):
+                free = [(length, 1, r - 1) for length in range(r, n + 1, r)]
+                assert _free_period(n, free) == r, (r, n)
 
 
 def dp_output_lines():
@@ -406,3 +449,31 @@ def _partitions(total, largest):
     for part in range(1, min(total, largest) + 1):
         for rest in _partitions(total - part, part):
             yield rest + (part,)
+
+
+def _split(n, specs):
+    """The free specs (sorted, length <= n) and the bunched specs whose
+    smallest bunch fits in n, as the DP entry points take them."""
+    free = sorted(spec for spec in specs if spec[1] == 1 and spec[0] <= n)
+    bunched = [spec for spec in specs if spec[1] > 1 and spec[0] * spec[1] <= n]
+    return free, bunched
+
+
+def _free_pass_oracle(n, free):
+    """m A[m] = sum over the free lengths L <= m of w_L A[m-L], from A[0] = n!."""
+    scaled = [factorial(n)] + [0] * n
+    for m in range(1, n + 1):
+        scaled[m] = sum(weight * scaled[m - length] for length, _, weight in free if length <= m) // m
+    return scaled
+
+
+def _rad(r):
+    """The product of the distinct primes of r."""
+    out, p = 1, 2
+    while r > 1:
+        if r % p == 0:
+            out *= p
+            while r % p == 0:
+                r //= p
+        p += 1
+    return out

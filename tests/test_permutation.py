@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -86,6 +87,19 @@ class TestParseFormat:
         for bad in ("(1 2", "1 2)", "(1 2) x (3)", "()", "(0 1)", "(1,2)"):
             with pytest.raises((CycleNotationError, InvalidPermutationError)):
                 parse(bad)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    @pytest.mark.parametrize("call", [
+        lambda: parse(f"(1 {'9' * 5000})"),
+        lambda: parse(f"(3 4) (1 2)_{'1' * 5000}", r=2),
+        lambda: parse_cycle_type(f"{'7' * 5000}^2"),
+    ], ids=["entry", "color", "cycle-type"])
+    def test_digits_past_the_int_str_limit(self, call):
+        # a typed error naming the limit; the process-wide setting is left alone
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(CycleNotationError, match=f"more than {limit} digits"):
+            call()
+        assert sys.get_int_max_str_digits() == limit
 
     def test_colors_follow_cycles_through_canonicalization(self):
         e = parse("(3 4 5)_1 (1 2 6)_2", r=3)
