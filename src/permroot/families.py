@@ -13,7 +13,8 @@ one prefix at a time rather than one permutation at a time: the ways to fill
 the last ``_TAIL`` positions after a prefix are classified together, as one
 chunk of key ids for the prefix's signature (its closed cycles and open
 paths), joined from the chunks of the prefixes one longer (``_completions``)
-and memoized per n and level, never with n! entries.  So the membership test
+and memoized per n and level, never with n! entries.  Every signature is the
+chain of ``_reduce`` steps from the empty prefix's.  So the membership test
 runs once per (first length, cycle type), and only members get cycles.
 """
 
@@ -213,9 +214,9 @@ _TAIL = 6
 _MAX_N = 12
 
 # n -> (memo, key -> key id).  memo[m] maps the signature of each prefix with
-# m open positions met so far (see _signature and _reduce) to its chunk: the
-# key ids of its m! completions in lexicographic order, so memo[0] maps each
-# whole permutation's signature to its one key id.  Kept for the life of the
+# m open positions met so far (see _reduce) to its chunk: the key ids of its
+# m! completions in lexicographic order, so memo[0] maps each whole
+# permutation's signature to its one key id.  Kept for the life of the
 # process for n <= DEFAULT_ENUMERATION_BOUND, and for a larger n only until a
 # scan of it ends or is closed; after a scan of S_9 it holds 67, 165, 424,
 # 922, 1,292, 897 and 316 chunks for m = 0..6 and 67 keys, never n! entries.
@@ -244,52 +245,22 @@ def _cycles_of_one_line(img: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _signature(prefix: tuple[int, ...], heads: list[int], n: int) -> bytes:
-    """Contract the partial map i -> prefix[i-1] of [n] to its closed cycles
-    and open paths.  A path runs from a head (a value nothing maps to yet;
-    ``heads`` is ascending) to a tail (a position past the prefix).  The
-    signature holds each path's tail index, each path's length, where 1 lies
-    (its path's index, or len(heads) + the length of its closed cycle) and the
-    sorted lengths of the closed cycles."""
-    a = len(prefix)
-    m = len(heads)
-    path_of = bytearray(n + 1)  # element -> 1 + its path's index; 255 on a closed cycle
-    sig = bytearray(2 * m + 1)
-    for i, x in enumerate(heads, 1):
-        length = 1
-        path_of[x] = i
-        while x <= a:
-            x = prefix[x - 1]
-            path_of[x] = i
-            length += 1
-        sig[i - 1] = x - a - 1
-        sig[m + i - 1] = length
-    if n and path_of[1]:
-        sig[2 * m] = path_of[1] - 1
-    closed = []
-    for s in range(1, a + 1):
-        if path_of[s]:
-            continue
-        length = 1
-        x = prefix[s - 1]
-        while x != s:
-            path_of[x] = 255
-            x = prefix[x - 1]
-            length += 1
-        if s == 1:
-            sig[2 * m] = m + length
-        closed.append(length)
-    sig.extend(sorted(closed))
-    return bytes(sig)
-
-
 def _reduce(sig: bytes, m: int, c: int) -> bytes:
-    """The signature of the prefix one longer that sends the first open
-    position to head c.  That position is the tail of some path p: p == c
-    closes p into a cycle, any other c joins p to path c, which then starts
-    at p's head and ends at c's tail.  Every tail moves down one position,
-    the paths after c move down one index, and so does 1's entry when it
-    names one of them or a closed cycle (m + its length)."""
+    """The signature of the prefix one longer than one of signature ``sig``
+    that sends the first open position to head c.  A signature contracts the
+    partial map i -> prefix[i-1] of [n] to its m open paths, each from a head
+    (a value nothing maps to yet; path i starts at the i-th smallest) to a
+    tail (a position past the prefix), and its closed cycles.  It holds each
+    path's tail index, each path's length, where 1 lies (its path's index, or
+    m + the length of its closed cycle) and the sorted closed lengths.  A
+    prefix's signature is the chain of reductions from the empty prefix's,
+    ``bytes([*range(n), *[1] * n, 0])``: n paths, 1 on the first.
+
+    The first open position is the tail of some path p: p == c closes p into
+    a cycle, any other c joins p to path c, which then starts at p's head and
+    ends at c's tail.  Every tail moves down one position, the paths after c
+    move down one index, and so does 1's entry when it names one of them or a
+    closed cycle (m + its length)."""
     tails = [t - 1 for t in sig[:m]]
     lengths = list(sig[m:2 * m])
     one = sig[2 * m]
@@ -336,16 +307,30 @@ def _completions(
     return chunk
 
 
+def _prefixes(prefix: tuple, heads: list[int], sig: bytes, m: int) -> Iterator[tuple]:
+    """Each extension of ``prefix`` (unused values ``heads``, signature
+    ``sig``) with m positions open, in lexicographic order, with its heads
+    and signature: the first open position goes to each head c in turn."""
+    if len(heads) == m:
+        yield prefix, heads, sig
+    else:
+        for c, head in enumerate(heads):
+            rest = heads[:c] + heads[c + 1:]
+            yield from _prefixes(prefix + (head,), rest, _reduce(sig, len(heads), c), m)
+
+
 def enumerate_family(
     spec: FamilySpec, bound: int = DEFAULT_ENUMERATION_BOUND
 ) -> Iterator[Permutation]:
     """Yield each member of the family exactly once, in lexicographic order
     of one-line notation.  Refuses n beyond ``bound`` or beyond 12.
 
-    Every prefix (the first n - m images, m = min(n, _TAIL)) is contracted
-    to a signature, whose m! completions are classified once per process
-    (see _completions; above the default bound, once per scan); the
-    membership test then runs once per key, and only members get cycles."""
+    Every prefix (the first n - m images, m = min(n, _TAIL)) is reached by
+    a depth-first walk from the empty one (``_prefixes``), its signature the
+    chain of reductions from the empty prefix's; the m! completions of each
+    signature are classified once per process (see _completions; above the
+    default bound, once per scan); the membership test then runs once per
+    key, and only members get cycles."""
     check_type(spec, FamilySpec, "spec")
     check_int(bound, "bound", 0)
     if spec.n > bound:
@@ -356,13 +341,11 @@ def enumerate_family(
     n = spec.n
     m = min(n, _TAIL)
     memo, key_ids = _COMPLETIONS.setdefault(n, ([{} for _ in range(m + 1)], {}))
-    values = frozenset(range(1, n + 1))
     verdicts = bytearray(256)  # key id -> 1 for a member
     tested = 0  # the first `tested` key ids have their verdict
+    root = bytes([*range(n), *[1] * n, 0])  # the empty prefix: n paths, 1 on the first
     try:
-        for prefix in itertools.permutations(range(1, n + 1), n - m):
-            heads = sorted(values.difference(prefix))
-            sig = _signature(prefix, heads, n)
+        for prefix, heads, sig in _prefixes((), list(range(1, n + 1)), root, m):
             chunk = _completions(sig, m, memo, key_ids)
             if tested < len(key_ids):
                 for key in itertools.islice(key_ids, tested, None):

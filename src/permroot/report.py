@@ -8,6 +8,7 @@ separators, wall_time stripped.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Generator
@@ -100,6 +101,11 @@ def _stripped(text: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"not valid report JSON: {exc}") from exc
+    except ValueError as exc:  # int refuses the digits; the limit stays as the process has it
+        raise DomainError(
+            f"report JSON has a number of more than {sys.get_int_max_str_digits()} digits, "
+            "Python's int/str conversion limit (sys.set_int_max_str_digits)"
+        ) from exc
     return _strip_wall_time(data)
 
 

@@ -66,7 +66,12 @@ __all__ = [
 ]
 
 PHI_PAIRS = ((2, 2), (2, 4), (2, 6), (2, 8), (3, 3), (3, 6), (3, 9), (4, 4), (4, 8))
-# (q, r, m) triples shared by the two merge inequalities
+# (q, r, m) triples shared by the two merge inequalities, which run at
+# n = m·q·r.  Their bounds key, merge_grids, also overrides merge-distinctness,
+# which reads its triples as (q, r, n): [[2, 2, 1], [2, 2, 4]] (as in the
+# reduced bounds of tests/test_verify.py, whose pinned report relies on it)
+# runs merge-distinctness at n = 1 and 4 and the inequalities at n = 4 and 16.
+# A second key would change what an existing override runs.
 MERGE_GRIDS = ((2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 4, 1), (3, 3, 1))
 
 # Known values of p_r(n) for n = 1..12, frozen as reduced rationals.

@@ -312,12 +312,14 @@ def test_membership_reads_first_length_and_multiset_only():
 def test_scan_keeps_no_per_permutation_state():
     assert sum(1 for _ in enumerate_family(FamilySpec.uniform_multiples(3, 3, 9))) == 2240
     memo, keys = families._COMPLETIONS[9]
-    # one memo per level j <= _TAIL, holding chunks of j! key ids; a few
-    # thousand chunks in all, nothing with 9! entries
+    # one memo per level j <= _TAIL, holding chunks of j! key ids; every
+    # complete S_9 scan visits all 504 prefixes, so the memo has this exact
+    # shape whichever scans ran first, and nothing with 9! entries
     assert len(memo) == families._TAIL + 1
     for j, level in enumerate(memo):
         assert all(len(chunk) == math.factorial(j) for chunk in level.values())
-    assert sum(map(len, memo)) + len(keys) < 5000
+    assert [len(level) for level in memo] == [67, 165, 424, 922, 1292, 897, 316]
+    assert len(keys) == 67
     assert set(families._COMPLETIONS) <= set(range(10))
 
 

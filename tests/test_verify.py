@@ -383,6 +383,16 @@ class TestGolden:
         with pytest.raises(DomainError):
             golden_compare(good, bad)
 
+    @pytest.mark.parametrize("read", [
+        lambda path: normalize_report_bytes(path.read_text()),
+        lambda path: golden_compare(path, path),
+    ], ids=["normalize_report_bytes", "golden_compare"])
+    def test_number_beyond_int_digit_limit(self, read, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text("[" + "9" * 5000 + "]")  # past Python's default 4,300-digit limit
+        with pytest.raises(DomainError, match="4300 digits"):
+            read(path)
+
     def test_normalization_strips_wall_time(self):
         text = '[{"property_id": "x", "wall_time": 1.23, "status": "pass"}]'
         assert b"wall_time" not in normalize_report_bytes(text)

@@ -25,7 +25,12 @@ Beside the perfbench runs each file records:
 * what perfbench does not time: ``count_roots(2, n)`` at n = 800 and 1,600
   and ``count_roots(6, 1000)``, each timed once in a fresh interpreter per
   round; the rounds alternate between the checkouts like the perfbench
-  runs, and the file keeps every time and their median.
+  runs, and the file keeps every time and their median;
+* the wall time of ``permroot verify --all --out <tmp>`` at ``--jobs 1`` and
+  ``--jobs 2``, each run in a fresh interpreter, over 3 rounds that alternate
+  between the checkouts likewise, with every time and the median; and the
+  sha256 of each run's report as ``report.normalize_report_bytes`` gives it
+  (one value when every run agrees).
 """
 
 from __future__ import annotations
@@ -61,6 +66,15 @@ COUNT_PROBE = (
     "from permroot.counting import count_roots\n"
     f"for r, n in {COUNT_ROOTS!r}:\n"
     "    t = time.perf_counter(); count_roots(r, n); print(time.perf_counter() - t)"
+)
+VERIFY_ROUNDS = 3
+VERIFY_JOBS = (1, 2)
+VERIFY_PROBE = "import sys; sys.path.insert(0, 'src'); from permroot.cli import main; sys.exit(main())"
+REPORT_SHA_PROBE = (
+    "import hashlib, sys; sys.path.insert(0, 'src'); "
+    "from permroot.report import normalize_report_bytes\n"
+    "text = open(sys.argv[1], encoding='utf-8').read()\n"
+    "print(hashlib.sha256(normalize_report_bytes(text)).hexdigest())"
 )
 KERNEL_RE = re.compile(r"calibration kernel best ([0-9.]+) ms")
 
@@ -110,6 +124,23 @@ def count_roots_times(checkout: Path) -> list[float]:
     if done.returncode != 0:
         raise SystemExit(f"count_roots probe in {checkout} exited {done.returncode}:\n{done.stderr}")
     return [float(line) for line in done.stdout.split()]
+
+
+def verify_all(checkout: Path, jobs: int) -> tuple[float, str]:
+    """The wall time of one ``verify --all`` in a fresh interpreter, and the
+    sha256 of its normalized report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "report.json")
+        cmd = [sys.executable, "-c", VERIFY_PROBE, "verify", "--all", "--out", out,
+               "--jobs", str(jobs)]
+        start = perf_counter()
+        done = run(cmd, checkout)
+        wall = perf_counter() - start
+        if done.returncode == 0:
+            done = run([sys.executable, "-c", REPORT_SHA_PROBE, out], checkout)
+    if done.returncode != 0:
+        raise SystemExit(f"verify --all --jobs {jobs} in {checkout} exited {done.returncode}:\n{done.stderr}")
+    return wall, done.stdout.strip()
 
 
 def git_rev(checkout: Path) -> dict:
@@ -194,6 +225,13 @@ def main(argv=None) -> int:
         for label, checkout in alternate(targets, i):
             print(f"count_roots round {i + 1}/{COUNT_ROUNDS} on {label}", file=sys.stderr, flush=True)
             count_times[label].append(count_roots_times(checkout))
+    verify_runs = {(label, jobs): [] for label in targets for jobs in VERIFY_JOBS}
+    for i in range(VERIFY_ROUNDS):
+        for label, checkout in alternate(targets, i):
+            for jobs in VERIFY_JOBS:
+                print(f"verify --all --jobs {jobs} round {i + 1}/{VERIFY_ROUNDS} on {label}",
+                      file=sys.stderr, flush=True)
+                verify_runs[label, jobs].append(verify_all(checkout, jobs))
     for label, checkout in targets.items():
         print(f"perfbench tests on {label}", file=sys.stderr, flush=True)
         record = records[label]
@@ -205,6 +243,14 @@ def main(argv=None) -> int:
             f"count_roots({r}, {n})": {"median": statistics.median(times), "runs": times}
             for (r, n), times in zip(COUNT_ROOTS, zip(*count_times[label]))
         }
+        times = {jobs: [t for t, _ in verify_runs[label, jobs]] for jobs in VERIFY_JOBS}
+        record["verify_all_s"] = {
+            f"jobs {jobs}": {"median": statistics.median(times[jobs]), "runs": times[jobs]}
+            for jobs in VERIFY_JOBS
+        }
+        record["verify_all_report_sha256"] = sorted(
+            {sha for jobs in VERIFY_JOBS for _, sha in verify_runs[label, jobs]}
+        )
         record["perfbench_tests"] = perfbench_tests(checkout)
         out = Path(f"BENCH_{label}.json")
         out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
