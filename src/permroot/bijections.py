@@ -27,7 +27,11 @@ pure; all inputs are validated and violations raise ``DomainError``.
 Each public map is its checks, one core on canonical cycle tuples
 (``_extract``, ``_insert``, ``_grow_first``, ``_shrink_first``, ``_merge``)
 and the construction of its result; verification calls the cores directly
-on inputs that lie in the domain by construction.
+on inputs that lie in the domain by construction.  Results are built with
+the trusted constructors ``Permutation._from_canonical`` and
+``EnrichedPermutation._from_canonical``: a core's cycles are canonical, and
+the colors of ``to_nearly_regular`` and ``to_enriched_cycles`` are residues
+in 1..r-1 on exactly the singular cycles, so nothing is checked twice.
 """
 
 from __future__ import annotations
@@ -241,7 +245,7 @@ def to_nearly_regular(sigma: Permutation, r: int) -> EnrichedPermutation:
     _require_regular(sigma, r)
     color = len(sigma.cycles[0]) % r
     base = Permutation._from_canonical(_run(sigma.cycles, _grow, r, r - color))
-    return EnrichedPermutation(base, r, (color,) + (None,) * (len(base.cycles) - 1))
+    return EnrichedPermutation._from_canonical(base, r, (color,) + (None,) * (len(base.cycles) - 1))
 
 
 def _require_nearly_regular(tau: EnrichedPermutation) -> int:
@@ -289,7 +293,8 @@ def to_enriched_cycles(sigma: Permutation, r: int) -> EnrichedPermutation:
         _grow(stack, r, r - colors[-1])
         cycles.append(stack.pop())
     # peel order equals increasing-minima order, so this is already canonical
-    return EnrichedPermutation(Permutation._from_canonical(tuple(cycles)), r, colors)
+    base = Permutation._from_canonical(tuple(cycles))
+    return EnrichedPermutation._from_canonical(base, r, tuple(colors))
 
 
 def from_enriched_cycles(tau: EnrichedPermutation) -> Permutation:

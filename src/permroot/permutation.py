@@ -16,14 +16,15 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
-from .errors import CycleNotationError, DomainError, InvalidPermutationError, check_int
+from .errors import CycleNotationError, DomainError, InvalidPermutationError, check_int, check_type
 
 Cycle = tuple[int, ...]
 
-_CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s+\d+)*)\s*\)(?:_(\d+))?")
+# one cycle and its optional color; re.split hands out gap, body, color triples
+_CYCLE_RE = re.compile(r"\(([\d\s]*)\)(?:_(\d+))?")
 
 
 def _canonical_cycles(cycles: Iterable[Iterable[int]]) -> list[Cycle]:
@@ -52,10 +53,18 @@ def _canonical_cycles(cycles: Iterable[Iterable[int]]) -> list[Cycle]:
                 if e in seen:
                     raise InvalidPermutationError(f"element {e} appears in more than one position")
                 seen.add(e)
-    pivots = list(map(tuple.index, out, map(min, out)))
-    if any(pivots):
-        out = [cyc[i:] + cyc[:i] for cyc, i in zip(out, pivots)]
-    return out
+    return _rotated(out)
+
+
+def _rotated(cycles: list[Cycle]) -> list[Cycle]:
+    """Each cycle rotated to start at its minimum."""
+    pivots = list(map(tuple.index, cycles, map(min, cycles)))
+    return [c[i:] + c[:i] for c, i in zip(cycles, pivots)] if any(pivots) else cycles
+
+
+def _bodies(cycles: Iterable[Cycle]) -> Iterable[str]:
+    """The entries of each cycle, space-separated."""
+    return map(" ".join, map(map, repeat(str), cycles))
 
 
 class Permutation:
@@ -105,7 +114,7 @@ class Permutation:
 
     @property
     def size(self) -> int:
-        return sum(len(c) for c in self._cycles)
+        return sum(map(len, self._cycles))
 
     def elements(self) -> tuple[int, ...]:
         """Ground set as a sorted tuple."""
@@ -158,6 +167,7 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """(self . other)(x) = self(other(x)); both must share a ground set."""
+        check_type(other, Permutation, "other")
         if self.ground_set() != other.ground_set():
             raise DomainError("compose requires equal ground sets")
         sm, om = self.mapping(), other.mapping()
@@ -194,7 +204,7 @@ class Permutation:
         return hash(self._cycles)
 
     def __str__(self) -> str:
-        return " ".join("(" + " ".join(map(str, c)) + ")" for c in self._cycles)
+        return "(" + ") (".join(_bodies(self._cycles)) + ")" if self._cycles else ""
 
     def __repr__(self) -> str:
         return f"Permutation({str(self)!r})"
@@ -239,6 +249,7 @@ class EnrichedPermutation:
         regular cycles; ``from_json_dict`` reads the {index: color} form."""
         if not isinstance(r, int) or r < 2:
             raise InvalidPermutationError(f"enrichment modulus must be an integer >= 2, got {r!r}")
+        check_type(base, Permutation, "base")
         cycles = base.cycles
         if not isinstance(colors, Sequence) or len(colors) != len(cycles):
             raise InvalidPermutationError("colors must be a sequence aligned with the cycles")
@@ -255,6 +266,13 @@ class EnrichedPermutation:
         self._base = base
         self._r = r
         self._color_seq = tuple(colors)
+
+    @classmethod
+    def _from_canonical(cls, base: Permutation, r: int, colors: tuple) -> "EnrichedPermutation":
+        # trusted constructor: colors must already be valid for base and r
+        e = object.__new__(cls)
+        e._base, e._r, e._color_seq = base, r, colors
+        return e
 
     @classmethod
     def from_plain(cls, base: Permutation) -> "EnrichedPermutation":
@@ -295,11 +313,9 @@ class EnrichedPermutation:
         return hash((self._base, self._r, self._color_seq))
 
     def __str__(self) -> str:
-        parts = []
-        for cyc, col in zip(self._base.cycles, self._color_seq):
-            text = "(" + " ".join(map(str, cyc)) + ")"
-            parts.append(text if col is None else f"{text}_{col}")
-        return " ".join(parts)
+        suffix = {c: "" if c is None else f"_{c}" for c in set(self._color_seq)}
+        return " ".join(map("({}){}".format, _bodies(self._base.cycles),
+                            map(suffix.__getitem__, self._color_seq)))
 
     def __repr__(self) -> str:
         return f"EnrichedPermutation({str(self)!r}, r={self._r})"
@@ -377,6 +393,7 @@ class CycleType:
 
 def parse_cycle_type(text: str) -> CycleType:
     """Parse "1^2,4^2" or "1^2 4^2" (bare "4" means 4^1); "" is the empty type."""
+    check_type(text, str, "text")
     text = text.strip()
     if not text:
         return CycleType()
@@ -400,41 +417,48 @@ def parse(text: str, r: int | None = None) -> Permutation | EnrichedPermutation:
     r-singular cycle must carry a ``_color`` subscript.
 
     Grammar: cycles like "(1 2 4)" optionally subscripted "_2", separated by
-    whitespace; the empty string is the empty permutation.
+    whitespace; the empty string is the empty permutation.  The checks run on
+    the whole text at once; only when one fails does a walk name the first
+    bad token in text order.
     """
-    cycles: list[Cycle] = []
-    colors: list[str | None] = []
-    pos = 0
-    for m in _CYCLE_RE.finditer(text):
-        start = m.start()
-        if text[pos:start].strip():
-            raise CycleNotationError(f"unexpected text {text[pos:start]!r}")
-        pos = m.end()
-        body, color = m.groups()
-        try:
-            cyc = tuple(map(int, body.split()))
-        except ValueError:  # only the digit limit: \d+ matched every entry
-            raise _digit_limit_error("a cycle entry") from None
-        if 0 in cyc:  # \d+ gives entries >= 0
-            raise CycleNotationError("cycle entries must be positive integers")
-        cycles.append(cyc)
-        colors.append(color)
-    if text[pos:].strip():
-        raise CycleNotationError(f"unexpected trailing text {text[pos:]!r}")
-
-    if r is None:
-        if colors.count(None) != len(colors):
-            raise CycleNotationError("color subscripts require an enrichment modulus r")
-        return Permutation(cycles)
-
-    # one sort on the (distinct) minima carries each color with its cycle
-    rotated = _canonical_cycles(cycles)
-    triples = sorted(zip(map(itemgetter(0), rotated), rotated, colors))
-    base = Permutation._from_canonical(tuple(map(itemgetter(1), triples)))
+    check_type(text, str, "text")
+    parts = _CYCLE_RE.split(text)
+    stray, colors = "".join(parts[::3]).strip(), parts[2::3]
     try:
-        ordered_colors = tuple(None if col is None else int(col) for _, _, col in triples)
+        cycles = list(map(tuple, map(map, repeat(int), map(str.split, parts[1::3]))))
+    except ValueError:  # only the digit limit: a body holds digits and spaces
+        cycles = [()]  # fails the check below, whose walk names the entry
+    del parts  # frees the body texts before the entry set is built: a lower peak
+    entries = set(chain.from_iterable(cycles))
+    if stray or not all(cycles) or 0 in entries:
+        pos = 0
+        for m in _CYCLE_RE.finditer(text):
+            if not m[1].strip():  # a cycle without entries is stray text
+                continue
+            if text[pos:m.start()].strip():
+                raise CycleNotationError(f"unexpected text {text[pos:m.start()]!r}")
+            pos = m.end()
+            try:
+                cyc = tuple(map(int, m[1].split()))
+            except ValueError:
+                raise _digit_limit_error("a cycle entry") from None
+            if 0 in cyc:  # \d gives entries >= 0
+                raise CycleNotationError("cycle entries must be positive integers")
+        raise CycleNotationError(f"unexpected trailing text {text[pos:]!r}")
+    if r is None and any(colors):
+        raise CycleNotationError("color subscripts require an enrichment modulus r")
+    if len(entries) != sum(map(len, cycles)):
+        _canonical_cycles(cycles)  # raises, naming the first repeated element
+    rotated = _rotated(cycles)
+    if r is None:
+        return Permutation._from_canonical(tuple(sorted(rotated, key=itemgetter(0))))
+    # the minima are distinct, so sorting the pairs carries each color with its cycle
+    pairs = sorted(zip(rotated, colors))
+    try:
+        ordered_colors = tuple(None if col is None else int(col) for _, col in pairs)
     except ValueError:
         raise _digit_limit_error("a color") from None
+    base = Permutation._from_canonical(tuple(map(itemgetter(0), pairs)))
     return EnrichedPermutation(base, r, ordered_colors)
 
 

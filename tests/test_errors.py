@@ -21,7 +21,7 @@ from permroot.families import (
     is_nearly_regular,
     is_regular,
 )
-from permroot.permutation import CycleType, Permutation, parse
+from permroot.permutation import CycleType, EnrichedPermutation, Permutation, parse, parse_cycle_type
 
 # (value, low, high, the DomainError message for name "r", or None to accept)
 CHECK_INT_CASES = [
@@ -230,6 +230,12 @@ MOTIVATING_CASES = [
     (is_regular, (None, 2)),
     (is_nearly_regular, (None, 2)),
     (lambda: next(enumerate_family("all")), ()),
+    (parse, (123,)),
+    (parse, (None,)),
+    (parse, (b"(1 2)",)),
+    (parse_cycle_type, (None,)),
+    (EnrichedPermutation, ("(1 2)", 2, (1,))),
+    (Permutation([[1, 2]]).compose, (None,)),
 ]
 
 
@@ -246,3 +252,16 @@ def test_check_type_names_the_expected_class():
     message = r"^tau must be an EnrichedPermutation, got Permutation\('\(1 2\)'\)$"
     with pytest.raises(DomainError, match=message):
         bij.from_enriched_cycles(parse("(1 2)"))
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (parse, (123,), "text must be a str, got 123"),
+    (parse, (b"(1 2)", 2), "text must be a str, got b'(1 2)'"),
+    (parse_cycle_type, (None,), "text must be a str, got None"),
+    (EnrichedPermutation, ("(1 2)", 2, (1,)), "base must be a Permutation, got '(1 2)'"),
+    (Permutation([[1, 2]]).compose, (None,), "other must be a Permutation, got None"),
+])
+def test_text_and_object_parameters_of_the_permutation_module(call, args, message):
+    with pytest.raises(DomainError) as exc:
+        call(*args)
+    assert type(exc.value) is DomainError and str(exc.value) == message

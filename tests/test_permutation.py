@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -18,6 +19,7 @@ from permroot.permutation import (
     CycleType,
     EnrichedPermutation,
     Permutation,
+    _digit_limit_error,
     parse,
     parse_cycle_type,
 )
@@ -357,3 +359,120 @@ def test_parse_outputs_unchanged():
             records.append(f"{type(result).__name__} {result}")
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == "5fad2228cd3c03e93c82b719b2268ffa9c3a976011725f889a17009ebf99203f"
+
+
+# -- differential oracle: the sequential parser that parse replaced ------------
+
+_ORACLE_CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s+\d+)*)\s*\)(?:_(\d+))?")
+
+
+def _parse_oracle(text, r=None):
+    """Cycle notation parsed one regex match at a time, each match checked as
+    it comes: the parser that the bulk ``parse`` replaced, kept to test it."""
+    cycles, colors, pos = [], [], 0
+    for m in _ORACLE_CYCLE_RE.finditer(text):
+        start = m.start()
+        if text[pos:start].strip():
+            raise CycleNotationError(f"unexpected text {text[pos:start]!r}")
+        pos = m.end()
+        body, color = m.groups()
+        try:
+            cyc = tuple(map(int, body.split()))
+        except ValueError:
+            raise _digit_limit_error("a cycle entry") from None
+        if 0 in cyc:
+            raise CycleNotationError("cycle entries must be positive integers")
+        cycles.append(cyc)
+        colors.append(color)
+    if text[pos:].strip():
+        raise CycleNotationError(f"unexpected trailing text {text[pos:]!r}")
+    if r is None:
+        if colors.count(None) != len(colors):
+            raise CycleNotationError("color subscripts require an enrichment modulus r")
+        return Permutation(cycles)
+    base = Permutation(cycles)
+    color_of = {min(cyc): color for cyc, color in zip(cycles, colors)}
+    try:
+        ordered = [None if color_of[c[0]] is None else int(color_of[c[0]]) for c in base.cycles]
+    except ValueError:
+        raise _digit_limit_error("a color") from None
+    return EnrichedPermutation(base, r, ordered)
+
+
+def _outcome(parser, text, r):
+    """The value (class, value, text) or the PermrootError (class, message)."""
+    try:
+        value = parser(text, r)
+    except PermrootError as exc:
+        return type(exc), str(exc)
+    return type(value), value, str(value)
+
+
+# parentheses, subscripts, ASCII and Arabic-Indic digits, Unicode whitespace, signs
+_FUZZ_ALPHABET = "()_0123456789\u0660\u0661\u0662\u0663\u0669 \t\n\x1c+-"
+
+
+def _mutated(rng):
+    """A small valid text, colored at random, then edited 1-4 times."""
+    n = rng.randrange(7)
+    cycles = _random_cycles(rng, n) if n else []
+    text = list(_join(rng, [_cycle_text(rng, c, rng.choice((None, None, 1, 2))) for c in cycles]))
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0 or not text:
+            text.insert(i, rng.choice(_FUZZ_ALPHABET))
+        elif op == 1:
+            del text[min(i, len(text) - 1)]
+        elif op == 2:
+            text[min(i, len(text) - 1)] = rng.choice(_FUZZ_ALPHABET)
+        else:
+            j = rng.randrange(len(text) + 1)
+            text[i:i] = text[min(i, j):max(i, j)]
+    return "".join(text)
+
+
+def _family(outcome):
+    """The class of a value, or the class and message head of an error."""
+    return outcome[0].__name__, re.split(r"[\d'(]", outcome[1])[0] if len(outcome) == 2 else ""
+
+
+def test_parse_matches_the_sequential_oracle_on_mutated_text():
+    rng = random.Random(20261020)
+    families = set()
+    for _ in range(50_000):
+        text = _mutated(rng)
+        for r in (None, 2, 3):
+            want = _outcome(_parse_oracle, text, r)
+            assert _outcome(parse, text, r) == want, (text, r)
+            families.add(_family(want))
+    # both kinds of value and every error that parse can raise on short text
+    assert families == {
+        ("Permutation", ""), ("EnrichedPermutation", ""),
+        ("CycleNotationError", "unexpected text "),
+        ("CycleNotationError", "unexpected trailing text "),
+        ("CycleNotationError", "cycle entries must be positive integers"),
+        ("CycleNotationError", "color subscripts require an enrichment modulus r"),
+        ("InvalidPermutationError", "element "),
+        ("InvalidPermutationError", "color "),
+        ("InvalidPermutationError", "singular cycle "),
+        ("InvalidPermutationError", "regular cycle "),
+    }
+
+
+@pytest.mark.parametrize("r", [None, 2, 3, 5])
+def test_round_trips_at_ten_thousand_elements(r):
+    rng = random.Random(r or 1)
+    for _ in range(3):
+        cycles = _random_cycles(rng, 10**4)
+        colors = [None if r is None or len(c) % r else rng.randint(1, r - 1) for c in cycles]
+        messy = _join(rng, [_cycle_text(rng, c, k) for c, k in zip(cycles, colors)])
+        rotated = [c[c.index(min(c)):] + c[:c.index(min(c))] for c in cycles]
+        want = " ".join(
+            "(" + " ".join(map(str, c)) + ")" + ("" if k is None else f"_{k}")
+            for c, k in sorted(zip(rotated, colors))
+        )
+        p = parse(messy, r)
+        assert str(p) == want
+        assert parse(str(p), r) == p
+        assert parse(want, r) == p

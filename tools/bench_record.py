@@ -26,11 +26,17 @@ Beside the perfbench runs each file records:
   and ``count_roots(6, 1000)``, each timed once in a fresh interpreter per
   round; the rounds alternate between the checkouts like the perfbench
   runs, and the file keeps every time and their median;
+* the cycle-notation layer, in the same rounds: ``parse`` of every line of
+  the cli-batch corpus (``perfbench/inputs.cli_inputs(7)``, with the ``r``
+  the CLI passes) and ``str()`` of every result, each the best of 3 passes
+  in a fresh interpreter, with every round's time and the median;
 * the wall time of ``permroot verify --all --out <tmp>`` at ``--jobs 1`` and
   ``--jobs 2``, each run in a fresh interpreter, over 3 rounds that alternate
-  between the checkouts likewise, with every time and the median; and the
-  sha256 of each run's report as ``report.normalize_report_bytes`` gives it
-  (one value when every run agrees).
+  between the checkouts likewise, with every time and the median; the
+  ``wall_time`` of every report of every run, and for the four reports with
+  the largest median, each one's median and runs; and the sha256 of each
+  run's report as ``report.normalize_report_bytes`` gives it (one value
+  when every run agrees).
 """
 
 from __future__ import annotations
@@ -67,6 +73,21 @@ COUNT_PROBE = (
     f"for r, n in {COUNT_ROOTS!r}:\n"
     "    t = time.perf_counter(); count_roots(r, n); print(time.perf_counter() - t)"
 )
+NOTATION_PROBE = (
+    "import sys, time; sys.path[:0] = ['src', 'perfbench']; sys.dont_write_bytecode = True\n"
+    "from permroot.permutation import parse\n"
+    "from inputs import cli_inputs\n"
+    "jobs = [(line['text'], int(inv['argv'][3]) if inv['argv'][:2] == ['map', 'Phi-inv'] else None)\n"
+    "        for inv in cli_inputs(7) for line in inv['lines']]\n"
+    "best = {'parse': [], 'str': []}\n"
+    "for _ in range(3):\n"
+    "    t = time.perf_counter(); values = [parse(text, r) for text, r in jobs]\n"
+    "    best['parse'].append(time.perf_counter() - t)\n"
+    "    t = time.perf_counter(); texts = [str(v) for v in values]\n"
+    "    best['str'].append(time.perf_counter() - t)\n"
+    "print(min(best['parse']), min(best['str']))"
+)
+NOTATION_LAYERS = ("parse", "str")
 VERIFY_ROUNDS = 3
 VERIFY_JOBS = (1, 2)
 VERIFY_PROBE = "import sys; sys.path.insert(0, 'src'); from permroot.cli import main; sys.exit(main())"
@@ -126,9 +147,17 @@ def count_roots_times(checkout: Path) -> list[float]:
     return [float(line) for line in done.stdout.split()]
 
 
-def verify_all(checkout: Path, jobs: int) -> tuple[float, str]:
-    """The wall time of one ``verify --all`` in a fresh interpreter, and the
-    sha256 of its normalized report."""
+def notation_times(checkout: Path) -> list[float]:
+    """One round: ``parse`` and ``str()`` over the cli-batch corpus, in a fresh interpreter."""
+    done = run([sys.executable, "-c", NOTATION_PROBE], checkout)
+    if done.returncode != 0:
+        raise SystemExit(f"notation probe in {checkout} exited {done.returncode}:\n{done.stderr}")
+    return [float(word) for word in done.stdout.split()]
+
+
+def verify_all(checkout: Path, jobs: int) -> tuple[float, str, dict]:
+    """The wall time of one ``verify --all`` in a fresh interpreter, the
+    sha256 of its normalized report, and each report's ``wall_time``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "report.json")
         cmd = [sys.executable, "-c", VERIFY_PROBE, "verify", "--all", "--out", out,
@@ -137,10 +166,21 @@ def verify_all(checkout: Path, jobs: int) -> tuple[float, str]:
         done = run(cmd, checkout)
         wall = perf_counter() - start
         if done.returncode == 0:
+            reports = json.loads(Path(out).read_text(encoding="utf-8"))
             done = run([sys.executable, "-c", REPORT_SHA_PROBE, out], checkout)
     if done.returncode != 0:
         raise SystemExit(f"verify --all --jobs {jobs} in {checkout} exited {done.returncode}:\n{done.stderr}")
-    return wall, done.stdout.strip()
+    report_times = {
+        f"{r['property_id']} {json.dumps(r['range'], sort_keys=True)}": r["wall_time"] for r in reports
+    }
+    return wall, done.stdout.strip(), report_times
+
+
+def slowest_reports(runs: list[dict], count: int = 4) -> dict:
+    """The ``count`` reports with the largest median ``wall_time``, each with its median and runs."""
+    times = {name: [run[name] for run in runs] for name in runs[0]}
+    slowest = sorted(times, key=lambda name: statistics.median(times[name]), reverse=True)[:count]
+    return {name: {"median": statistics.median(times[name]), "runs": times[name]} for name in slowest}
 
 
 def git_rev(checkout: Path) -> dict:
@@ -221,10 +261,13 @@ def main(argv=None) -> int:
                 "traced": traced,
             }
     count_times = {label: [] for label in targets}
+    notation = {label: [] for label in targets}
     for i in range(COUNT_ROUNDS):
         for label, checkout in alternate(targets, i):
-            print(f"count_roots round {i + 1}/{COUNT_ROUNDS} on {label}", file=sys.stderr, flush=True)
+            print(f"count_roots and notation round {i + 1}/{COUNT_ROUNDS} on {label}",
+                  file=sys.stderr, flush=True)
             count_times[label].append(count_roots_times(checkout))
+            notation[label].append(notation_times(checkout))
     verify_runs = {(label, jobs): [] for label in targets for jobs in VERIFY_JOBS}
     for i in range(VERIFY_ROUNDS):
         for label, checkout in alternate(targets, i):
@@ -243,13 +286,25 @@ def main(argv=None) -> int:
             f"count_roots({r}, {n})": {"median": statistics.median(times), "runs": times}
             for (r, n), times in zip(COUNT_ROOTS, zip(*count_times[label]))
         }
-        times = {jobs: [t for t, _ in verify_runs[label, jobs]] for jobs in VERIFY_JOBS}
+        record["notation_s"] = {
+            name: {"median": statistics.median(times), "runs": times}
+            for name, times in zip(NOTATION_LAYERS, zip(*notation[label]))
+        }
+        times = {jobs: [t for t, _, _ in verify_runs[label, jobs]] for jobs in VERIFY_JOBS}
         record["verify_all_s"] = {
             f"jobs {jobs}": {"median": statistics.median(times[jobs]), "runs": times[jobs]}
             for jobs in VERIFY_JOBS
         }
+        record["verify_all_report_wall_time_s"] = {
+            f"jobs {jobs}": [reports for _, _, reports in verify_runs[label, jobs]]
+            for jobs in VERIFY_JOBS
+        }
+        record["verify_all_slowest_reports_s"] = {
+            f"jobs {jobs}": slowest_reports([reports for _, _, reports in verify_runs[label, jobs]])
+            for jobs in VERIFY_JOBS
+        }
         record["verify_all_report_sha256"] = sorted(
-            {sha for jobs in VERIFY_JOBS for _, sha in verify_runs[label, jobs]}
+            {sha for jobs in VERIFY_JOBS for _, sha, _ in verify_runs[label, jobs]}
         )
         record["perfbench_tests"] = perfbench_tests(checkout)
         out = Path(f"BENCH_{label}.json")
