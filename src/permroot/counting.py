@@ -16,18 +16,19 @@ so the exponential-formula recurrence m A[m] = sum_L w_L A[m-L] becomes
 
 O(n P) big-integer steps instead of O(n^2): P = rad(r) for the roots of
 order r (the lengths prime to r), P = r for the enriched cycles.  Its
-bunched pass (one in-place convolution per length) takes every length whose
-multiplicity must be a multiple of a step s > 1.  ``root_count_sequence``
-runs both on one array and unscales every row; a single count runs them on
-separate arrays and combines them at row n only.  No binomial or factorial
-is recomputed per term.
+bunched pass takes every length L whose multiplicity must be a multiple of
+a step s > 1, one slice update per (L, multiplicity).  ``root_count_sequence``
+runs both on one array and unscales every row; a single count runs them
+apart, the bunched one on the grid of its spans sL, and combines them at
+row n only.  No binomial or factorial is recomputed per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
-from operator import mul
+from itertools import accumulate, repeat
+from math import comb, factorial, gcd, perm
+from operator import add, floordiv, mul
 
 from .errors import DomainError, check_int, check_type
 from .families import FamilySpec, enumerate_family
@@ -196,33 +197,33 @@ def _free_pass(n: int, free) -> list[int]:
     return scaled
 
 
-def _bunched_pass(scaled: list[int], bunched) -> list[int]:
-    """Adds the lengths with step s > 1 to A in place and returns it.
+def _bunched_pass(values: list[int], bunched, support: int) -> list[int]:
+    """Adds the lengths with step s > 1 to A in place and returns it; at the
+    start A[u] may be nonzero only where ``support`` divides u (0: u = 0).
 
     For each such length, A[u+jL] gains A[u] w^j / (L^j j!) for j = s, 2s,
     ... while u + jL <= n.  Each term t_j is an integer: (u+1)...(u+jL)
     divides n!/u! and is a multiple of (jL)!, which L^j j! divides (the
     quotient counts the ways to split jL elements into j L-cycles).  So
-    t_{j+s} = t_j w^s / (L^s (j+1)...(j+s)) is an exact division by a small
-    integer.  Sources u are visited from the top down, so A is updated in
-    place, and zero sources are skipped."""
-    n = len(scaled) - 1
+    t_{j+s} = t_j w^s / (L^s (j+1)...(j+s)), where (j+1)...(j+s) is
+    perm(j+s, s), is an exact division by a small integer.  The pass walks (L, j), not
+    sources: per L it copies the sources, the multiples of the support
+    (then its gcd with the span sL), and per j divides them all and adds
+    them to A[(j+s)L:] in one slice update."""
+    size = len(values)
     for length, step, weight in bunched:
         span = step * length
-        length_pow = length**step
-        weight_pow = weight**step
-        divisors = [
-            length_pow * prod(range(j + 1, j + step + 1))
-            for j in range(0, n // length - step + 1, step)
-        ]
-        for u in range(n - span, -1, -1):
-            term = scaled[u]
-            if not term:
-                continue
-            for v, divisor in zip(range(u + span, n + 1, span), divisors):
-                term = (term if weight_pow == 1 else term * weight_pow) // divisor
-                scaled[v] += term
-    return scaled
+        stride = support or size
+        terms = values[: size - span : stride]
+        for v in range(span, size, span):
+            targets = values[v::stride]
+            del terms[len(targets) :]
+            if weight != 1:
+                terms = map(mul, terms, repeat(weight**step))
+            terms = list(map(floordiv, terms, repeat(length**step * perm(v // length, step))))
+            values[v::stride] = map(add, targets, terms)
+        support = gcd(support, span)
+    return values
 
 
 def _type_dp(n: int, free, bunched) -> list[int]:
@@ -238,25 +239,21 @@ def _type_dp(n: int, free, bunched) -> list[int]:
 
     ``_type_dp_row`` needs dp[n] = A[n] only.  The EGF is the product of its
     free and bunched parts, so it runs the passes apart (E and B, both from
-    n!) and combines row n alone: dp[n] = sum_k E[k] B[n-k] / n!.  Apart,
-    the bunched pass walks a sparse array, not the dense one the free pass
-    leaves, and skips its zero sources.  An empty side is [n!, 0, ..., 0],
-    so the same sum serves specs that are all free or all bunched.
+    n!) and combines row n alone: dp[n] = sum_k E[n-k] B[k] / n!.  B starts
+    as [n!, 0, ..., 0], so its pass walks the grid of the spans added so
+    far, not a dense array.  With no bunched specs, dp[n] = E[n].
     """
-    scaled = _bunched_pass(_free_pass(n, free), bunched)
-    dp = [0] * (n + 1)
-    scale = 1
-    for u in range(n, -1, -1):
-        dp[u] = scaled[u] // scale
-        scale *= u
-    return dp
+    scaled = _bunched_pass(_free_pass(n, free), bunched, 1)
+    return list(map(floordiv, reversed(scaled), accumulate(range(n, 0, -1), mul, initial=1)))[::-1]
 
 
 def _type_dp_row(n: int, free, bunched) -> int:
     """``_type_dp(n, free, bunched)[n]``, computed at row n only."""
     free_part = _free_pass(n, free)
-    bunched_part = _bunched_pass([free_part[0]] + [0] * n, bunched)
-    return sum(map(mul, free_part, reversed(bunched_part))) // free_part[0]
+    if not bunched:
+        return free_part[n]
+    bunched_part = _bunched_pass([free_part[0]] + [0] * n, bunched, 0)
+    return sum(map(mul, reversed(free_part), bunched_part)) // free_part[0]
 
 
 def count_enriched_cyc(r: int, n: int) -> int:
@@ -325,17 +322,20 @@ def root_count_sequence(r: int, upto: int) -> list[int]:
 
 
 def _root_specs(r: int, n: int) -> tuple[list, list]:
-    """The free specs (the lengths prime to r) and the bunched ones, in one
-    pass; the bunch size is computed only where gcd(L, r) > 1."""
+    """The free specs (the lengths prime to r) and the bunched ones (2L <= n),
+    spans sharing most with the first span first: ``_bunched_pass`` stays sparse."""
     free = []
     bunched = []
     for length in range(1, n + 1):
         if gcd(length, r) == 1:
             free.append((length, 1, 1))
-        else:
+        elif 2 * length <= n:
             step = smallest_bunch_size(length, r)
             if step * length <= n:
                 bunched.append((length, step, 1))
+    if len(bunched) > 1:
+        first = bunched[0][0] * bunched[0][1]
+        bunched.sort(key=lambda spec: -gcd(spec[0] * spec[1], first))
     return free, bunched
 
 

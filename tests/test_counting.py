@@ -1,10 +1,11 @@
 import hashlib
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from permroot.counting import (
+    _bunched_pass,
     _free_pass,
     _free_period,
     _root_specs,
@@ -405,6 +406,40 @@ class TestFreePass:
                 assert _free_period(n, free) == r, (r, n)
 
 
+class TestBunchedPass:
+    """The bunched pass against the per-source loop it replaced, kept here as
+    the oracle: dense on the free pass's array, as root_count_sequence runs
+    it, and sparse from [n!, 0, ..., 0], where it walks the grid of the
+    spans, as the single counts run it."""
+
+    SIZES = [*range(41), *range(60, 301, 30)]
+
+    def check(self, n, free, bunched):
+        # the sparse run in both orders: its grid depends on the order
+        dense = _free_pass(n, free)
+        assert _bunched_pass(dense[:], bunched, 1) == _bunched_pass_oracle(dense, bunched), n
+        for specs in (bunched, bunched[::-1]):
+            expected = _bunched_pass_oracle([factorial(n)] + [0] * n, specs)
+            assert _bunched_pass([factorial(n)] + [0] * n, specs, 0) == expected, (n, specs)
+
+    def test_root_specs_match_oracle(self):
+        for r in (*range(2, 37), 3**50):
+            for n in self.SIZES:
+                self.check(n, *_root_specs(r, n))
+
+    def test_uniform_type_specs_match_oracle(self):
+        for q in (2, 3, 4):
+            for r in (2, 3, 4):
+                for n in self.SIZES:
+                    self.check(n, [], [(length, r, 1) for length in range(q, n // r + 1, q)])
+
+    def test_weighted_specs_match_oracle(self):
+        # TestTypeDP's mixed specs: weights 3 and 2 on bunched lengths 2 and 4
+        mixed = [(1, 1, 2), (2, 2, 3), (3, 1, 5), (4, 3, 2), (5, 2, 1)]
+        for n in self.SIZES:
+            self.check(n, *_split(n, mixed))
+
+
 def dp_output_lines():
     """One line per output of every caller of the cycle-type DP."""
     for r in range(2, 13):
@@ -464,6 +499,26 @@ def _free_pass_oracle(n, free):
     scaled = [factorial(n)] + [0] * n
     for m in range(1, n + 1):
         scaled[m] = sum(weight * scaled[m - length] for length, _, weight in free if length <= m) // m
+    return scaled
+
+
+def _bunched_pass_oracle(scaled, bunched):
+    """For each bunched length, the sources u from the top down, zeros
+    skipped, each adding its chain A[u+jL] += A[u] w^j / (L^j j!) in place."""
+    n = len(scaled) - 1
+    for length, step, weight in bunched:
+        span = step * length
+        divisors = [
+            length**step * prod(range(j + 1, j + step + 1))
+            for j in range(0, n // length - step + 1, step)
+        ]
+        for u in range(n - span, -1, -1):
+            term = scaled[u]
+            if not term:
+                continue
+            for v, divisor in zip(range(u + span, n + 1, span), divisors):
+                term = term * weight**step // divisor
+                scaled[v] += term
     return scaled
 
 

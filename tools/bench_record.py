@@ -15,7 +15,11 @@ alternates too.
 Beside the perfbench runs each file records:
 
 * the machine reference: the best of 5 ``python -c pass`` starts and the
-  calibration-kernel best that each untraced run prints;
+  calibration-kernel best that each untraced run prints; next to it, the
+  one-shot CLI latency of ``permroot root '(1 2)(3 4)' --r 2``, the best of
+  5 fresh interpreters run from a copy of ``src/`` without ``__pycache__``,
+  once with bytecode written (the first start writes it, the others read
+  it) and once with ``PYTHONDONTWRITEBYTECODE=1`` (every start compiles);
 * the git rev of the checkout, whether its tracked files differ from that
   rev, and ``src_tree``: the git tree hash of ``src/`` as measured, which
   equals ``git rev-parse <commit>:src`` of any commit holding that code;
@@ -26,12 +30,16 @@ Beside the perfbench runs each file records:
   and ``count_roots(6, 1000)``, each timed once in a fresh interpreter per
   round; the rounds alternate between the checkouts like the perfbench
   runs, and the file keeps every time and their median;
+* the dense cycle-type DP, which perfbench reaches only through
+  ``root_count_sequence``: that call at (r, upto) = (2, 150), (3, 150) and
+  (2, 800), each the best of 5 calls in one fresh interpreter, in the same
+  rounds, with every round's time and the median;
 * the cycle-notation layer, in the same rounds: ``parse`` of every line of
   the cli-batch corpus (``perfbench/inputs.cli_inputs(7)``, with the ``r``
   the CLI passes) and ``str()`` of every result, each the best of 3 passes
   in a fresh interpreter, with every round's time and the median;
 * the wall time of ``permroot verify --all --out <tmp>`` at ``--jobs 1`` and
-  ``--jobs 2``, each run in a fresh interpreter, over 3 rounds that alternate
+  ``--jobs 2``, each run in a fresh interpreter, over 5 rounds that alternate
   between the checkouts likewise, with every time and the median; the
   ``wall_time`` of every report of every run, and for the four reports with
   the largest median, each one's median and runs; and the sha256 of each
@@ -45,6 +53,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -73,6 +82,16 @@ COUNT_PROBE = (
     f"for r, n in {COUNT_ROOTS!r}:\n"
     "    t = time.perf_counter(); count_roots(r, n); print(time.perf_counter() - t)"
 )
+SEQUENCES = ((2, 150), (3, 150), (2, 800))
+SEQUENCE_PROBE = (
+    "import sys, time; sys.path.insert(0, 'src'); "
+    "from permroot.counting import root_count_sequence\n"
+    f"for r, n in {SEQUENCES!r}:\n"
+    "    best = []\n"
+    "    for _ in range(5):\n"
+    "        t = time.perf_counter(); root_count_sequence(r, n); best.append(time.perf_counter() - t)\n"
+    "    print(min(best))"
+)
 NOTATION_PROBE = (
     "import sys, time; sys.path[:0] = ['src', 'perfbench']; sys.dont_write_bytecode = True\n"
     "from permroot.permutation import parse\n"
@@ -88,9 +107,10 @@ NOTATION_PROBE = (
     "print(min(best['parse']), min(best['str']))"
 )
 NOTATION_LAYERS = ("parse", "str")
-VERIFY_ROUNDS = 3
+VERIFY_ROUNDS = 5
 VERIFY_JOBS = (1, 2)
 VERIFY_PROBE = "import sys; sys.path.insert(0, 'src'); from permroot.cli import main; sys.exit(main())"
+ONE_SHOT_ARGS = ("root", "(1 2)(3 4)", "--r", "2")
 REPORT_SHA_PROBE = (
     "import hashlib, sys; sys.path.insert(0, 'src'); "
     "from permroot.report import normalize_report_bytes\n"
@@ -129,6 +149,27 @@ def pass_latency() -> float:
     return min(best)
 
 
+def one_shot_latency(checkout: Path) -> dict:
+    """``permroot root '(1 2)(3 4)' --r 2``, the best of 5 fresh interpreters
+    on a copy of the checkout's ``src/`` without ``__pycache__``, with
+    bytecode written and read back, and with ``PYTHONDONTWRITEBYTECODE=1``."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    out = {}
+    for name, env in (("bytecode_written_s", base),
+                      ("dont_write_bytecode_s", {**base, "PYTHONDONTWRITEBYTECODE": "1"})):
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copytree(checkout / "src", Path(tmp) / "src",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            best = []
+            for _ in range(5):
+                start = perf_counter()
+                subprocess.run([sys.executable, "-c", VERIFY_PROBE, *ONE_SHOT_ARGS], cwd=tmp, env=env,
+                               check=True, capture_output=True)
+                best.append(perf_counter() - start)
+        out[name] = min(best)
+    return out
+
+
 def perfbench_tests(checkout: Path) -> dict:
     done = run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"], checkout)
     failed = re.findall(r"^FAILED (\S+)", done.stdout, re.MULTILINE)
@@ -139,19 +180,11 @@ def perfbench_tests(checkout: Path) -> dict:
     }
 
 
-def count_roots_times(checkout: Path) -> list[float]:
-    """One round: each ``COUNT_ROOTS`` call timed once, in a fresh interpreter."""
-    done = run([sys.executable, "-c", COUNT_PROBE], checkout)
+def probe_times(checkout: Path, probe: str) -> list[float]:
+    """One round of a timing probe: the times it prints, from a fresh interpreter."""
+    done = run([sys.executable, "-c", probe], checkout)
     if done.returncode != 0:
-        raise SystemExit(f"count_roots probe in {checkout} exited {done.returncode}:\n{done.stderr}")
-    return [float(line) for line in done.stdout.split()]
-
-
-def notation_times(checkout: Path) -> list[float]:
-    """One round: ``parse`` and ``str()`` over the cli-batch corpus, in a fresh interpreter."""
-    done = run([sys.executable, "-c", NOTATION_PROBE], checkout)
-    if done.returncode != 0:
-        raise SystemExit(f"notation probe in {checkout} exited {done.returncode}:\n{done.stderr}")
+        raise SystemExit(f"probe in {checkout} exited {done.returncode}:\n{probe}\n{done.stderr}")
     return [float(word) for word in done.stdout.split()]
 
 
@@ -236,7 +269,7 @@ def main(argv=None) -> int:
             "python": sys.version.split()[0],
             "nproc": os.cpu_count(),
             "settings": {"seed": SEED, "seconds": seconds, "runs": RUNS},
-            "machine": {"python_c_pass_s": pass_latency()},
+            "machine": {"python_c_pass_s": pass_latency(), "one_shot_root_s": one_shot_latency(checkout)},
             "workloads": {},
         }
         for label, checkout in targets.items()
@@ -261,13 +294,15 @@ def main(argv=None) -> int:
                 "traced": traced,
             }
     count_times = {label: [] for label in targets}
+    sequence = {label: [] for label in targets}
     notation = {label: [] for label in targets}
     for i in range(COUNT_ROUNDS):
         for label, checkout in alternate(targets, i):
-            print(f"count_roots and notation round {i + 1}/{COUNT_ROUNDS} on {label}",
+            print(f"count_roots, root_count_sequence and notation round {i + 1}/{COUNT_ROUNDS} on {label}",
                   file=sys.stderr, flush=True)
-            count_times[label].append(count_roots_times(checkout))
-            notation[label].append(notation_times(checkout))
+            count_times[label].append(probe_times(checkout, COUNT_PROBE))
+            sequence[label].append(probe_times(checkout, SEQUENCE_PROBE))
+            notation[label].append(probe_times(checkout, NOTATION_PROBE))
     verify_runs = {(label, jobs): [] for label in targets for jobs in VERIFY_JOBS}
     for i in range(VERIFY_ROUNDS):
         for label, checkout in alternate(targets, i):
@@ -285,6 +320,10 @@ def main(argv=None) -> int:
         record["count_roots_s"] = {
             f"count_roots({r}, {n})": {"median": statistics.median(times), "runs": times}
             for (r, n), times in zip(COUNT_ROOTS, zip(*count_times[label]))
+        }
+        record["root_count_sequence_s"] = {
+            f"root_count_sequence({r}, {n})": {"median": statistics.median(times), "runs": times}
+            for (r, n), times in zip(SEQUENCES, zip(*sequence[label]))
         }
         record["notation_s"] = {
             name: {"median": statistics.median(times), "runs": times}
