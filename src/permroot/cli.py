@@ -485,6 +485,8 @@ def _cmd_verify(args) -> int:
         for sid in suite_ids():
             print(sid)
         return EXIT_OK
+    if args.golden and not args.out:
+        raise PermrootError("--golden requires --out")
     if args.all or not args.suite:
         suites = list(suite_ids())
     else:
@@ -509,8 +511,6 @@ def _cmd_verify(args) -> int:
                 line += f" counterexample: {r.counterexample}"
             print(line)
     if args.golden:
-        if not args.out:
-            raise PermrootError("--golden requires --out")
         diff = golden_diff(args.out, args.golden)
         if diff is not None:
             print(f"golden mismatch at {diff}", file=sys.stderr)

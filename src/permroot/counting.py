@@ -241,7 +241,8 @@ def _type_dp(n: int, free, bunched) -> list[int]:
     free and bunched parts, so it runs the passes apart (E and B, both from
     n!) and combines row n alone: dp[n] = sum_k E[n-k] B[k] / n!.  B starts
     as [n!, 0, ..., 0], so its pass walks the grid of the spans added so
-    far, not a dense array.  With no bunched specs, dp[n] = E[n].
+    far, not a dense array.  With no bunched specs, dp[n] = E[n], and with
+    no free specs (``count_cyc_qr``), dp[n] = B[n].
     """
     scaled = _bunched_pass(_free_pass(n, free), bunched, 1)
     return list(map(floordiv, reversed(scaled), accumulate(range(n, 0, -1), mul, initial=1)))[::-1]
@@ -249,6 +250,8 @@ def _type_dp(n: int, free, bunched) -> list[int]:
 
 def _type_dp_row(n: int, free, bunched) -> int:
     """``_type_dp(n, free, bunched)[n]``, computed at row n only."""
+    if not free:  # E = [n!, 0, ..., 0], so dp[n] = B[n]
+        return _bunched_pass([factorial(n)] + [0] * n, bunched, 0)[n]
     free_part = _free_pass(n, free)
     if not bunched:
         return free_part[n]

@@ -15,7 +15,9 @@ chunk of key ids for the prefix's signature (its closed cycles and open
 paths), joined from the chunks of the prefixes one longer (``_completions``)
 and memoized per n and level, never with n! entries.  Every signature is the
 chain of ``_reduce`` steps from the empty prefix's.  So the membership test
-runs once per (first length, cycle type), and only members get cycles.
+runs once per (first length, cycle type), and only members get cycles, from
+the same walk of the images that ``Permutation.from_mapping`` runs
+(``permutation._walk_cycles``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterator
 
 from . import roots
 from .errors import DomainError, EnumerationBoundError, check_int, check_type
-from .permutation import CycleType, EnrichedPermutation, Permutation
+from .permutation import CycleType, EnrichedPermutation, Permutation, _walk_cycles
 
 DEFAULT_ENUMERATION_BOUND = 10
 
@@ -223,28 +225,6 @@ _MAX_N = 12
 _COMPLETIONS: dict[int, tuple[list[dict[bytes, bytes]], dict[tuple, int]]] = {}
 
 
-def _cycles_of_one_line(img: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Cycles of the permutation i -> img[i-1] of [n], canonical by construction."""
-    n = len(img)
-    seen = bytearray(n + 1)
-    out = []
-    for s in range(1, n + 1):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        t = img[s - 1]
-        if t == s:
-            out.append((s,))
-            continue
-        cyc = [s]
-        while t != s:
-            seen[t] = 1
-            cyc.append(t)
-            t = img[t - 1]
-        out.append(tuple(cyc))
-    return tuple(out)
-
-
 def _reduce(sig: bytes, m: int, c: int) -> bytes:
     """The signature of the prefix one longer than one of signature ``sig``
     that sends the first open position to head c.  A signature contracts the
@@ -330,7 +310,7 @@ def enumerate_family(
     chain of reductions from the empty prefix's; the m! completions of each
     signature are classified once per process (see _completions; above the
     default bound, once per scan); the membership test then runs once per
-    key, and only members get cycles."""
+    key, and only members get cycles (``_walk_cycles``)."""
     check_type(spec, FamilySpec, "spec")
     check_int(bound, "bound", 0)
     if spec.n > bound:
@@ -344,8 +324,10 @@ def enumerate_family(
     verdicts = bytearray(256)  # key id -> 1 for a member
     tested = 0  # the first `tested` key ids have their verdict
     root = bytes([*range(n), *[1] * n, 0])  # the empty prefix: n paths, 1 on the first
+    elements = range(1, n + 1)
     try:
-        for prefix, heads, sig in _prefixes((), list(range(1, n + 1)), root, m):
+        # a prefix holds an unused 0 first, so prefix + tail maps i to its image
+        for prefix, heads, sig in _prefixes((0,), list(elements), root, m):
             chunk = _completions(sig, m, memo, key_ids)
             if tested < len(key_ids):
                 for key in itertools.islice(key_ids, tested, None):
@@ -354,7 +336,7 @@ def enumerate_family(
             mask = chunk.translate(verdicts)
             if 1 in mask:
                 for tail in itertools.compress(itertools.permutations(heads), mask):
-                    yield Permutation._from_canonical(_cycles_of_one_line(prefix + tail))
+                    yield Permutation._from_canonical(_walk_cycles(elements, prefix + tail))
     finally:
         if n > DEFAULT_ENUMERATION_BOUND:
             _COMPLETIONS.pop(n, None)

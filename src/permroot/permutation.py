@@ -124,18 +124,19 @@ class Permutation:
         return frozenset(e for c in self._cycles for e in c)
 
     def mapping(self) -> dict[int, int]:
+        return self._shifted(1)
+
+    def _shifted(self, e: int) -> dict[int, int]:
+        """x -> the element e steps after x on its cycle, for e >= 0."""
         m: dict[int, int] = {}
         for c in self._cycles:
-            n = len(c)
-            for i, e in enumerate(c):
-                m[e] = c[(i + 1) % n]
+            k = e % len(c)
+            m.update(zip(c, c[k:] + c[:k]))
         return m
 
     def apply(self, x: int) -> int:
-        for c in self._cycles:
-            if x in c:
-                return c[(c.index(x) + 1) % len(c)]
-        raise DomainError(f"element {x} is not in the ground set")
+        c = self.cycle_containing(x)
+        return c[(c.index(x) + 1) % len(c)]
 
     def one_line(self) -> tuple[int, ...]:
         m = self.mapping()
@@ -158,12 +159,7 @@ class Permutation:
     def power(self, e: int) -> "Permutation":
         """The e-th compositional power, e >= 0; power(0) is the identity."""
         check_int(e, "exponent", 0)
-        m: dict[int, int] = {}
-        for c in self._cycles:
-            n = len(c)
-            for i, x in enumerate(c):
-                m[x] = c[(i + e) % n]
-        return Permutation._from_canonical(_walk_cycles(self.elements(), m))
+        return Permutation._from_canonical(_walk_cycles(self.elements(), self._shifted(e)))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """(self . other)(x) = self(other(x)); both must share a ground set."""
@@ -222,19 +218,20 @@ class Permutation:
 
 def _walk_cycles(elements_sorted, mapping) -> tuple[Cycle, ...]:
     """Decompose a mapping into cycles; walking minima in increasing order
-    yields the canonical form directly."""
+    yields the canonical form directly.  ``mapping`` is anything indexed by
+    the elements: a dict, or the images of [n] as a sequence indexed from 1
+    (slot 0 unused), as the S_n scan hands them out."""
     seen: set[int] = set()
     out: list[Cycle] = []
     for s in elements_sorted:
         if s in seen:
             continue
         cyc = [s]
-        seen.add(s)
         t = mapping[s]
         while t != s:
             cyc.append(t)
-            seen.add(t)
             t = mapping[t]
+        seen.update(cyc)
         out.append(tuple(cyc))
     return tuple(out)
 

@@ -832,13 +832,14 @@ def _padding_ratio(n_max):
     n_max=("n_max", 40), r_values=("r_values", (2, 3, 4, 5, 8, 9)),
 )
 def _prime_power_monotonicity(n_max, r_values):
+    # p_r(n) < p_r(n+1) is (n+1)|S^r_n| < |S^r_{n+1}|; the Fractions only word it
     for r in r_values:
         counts = cnt.root_count_sequence(r, n_max + 1)
-        probs = [Fraction(counts[n], factorial(n)) for n in range(n_max + 2)]
         for n in range(1, n_max + 1):
             yield
-            if probs[n] < probs[n + 1]:
-                return f"p_{r}({n})={probs[n]} < p_{r}({n + 1})={probs[n + 1]}"
+            if (n + 1) * counts[n] < counts[n + 1]:
+                here, nxt = (Fraction(counts[k], factorial(k)) for k in (n, n + 1))
+                return f"p_{r}({n})={here} < p_{r}({n + 1})={nxt}"
 
 
 @prop(
@@ -846,22 +847,23 @@ def _prime_power_monotonicity(n_max, r_values):
     n_max=("n_max", 40), r_values=("plateau_r_values", (2, 3, 4, 5, 7, 8, 9)),
 )
 def _plateau_structure(n_max, r_values):
+    # on the counts: p_r(n) vs p_r(n+1) is (n+1)|S^r_n| vs |S^r_{n+1}|, and the
+    # scaled bound p_r(n) >= (n+1)/n p_r(n+1) is n|S^r_n| >= |S^r_{n+1}|
     for r in r_values:
         q, l = prime_power_decomposition(r)
         counts = cnt.root_count_sequence(r, n_max + 1)
-        probs = [Fraction(counts[n], factorial(n)) for n in range(n_max + 2)]
         for n in range(1, n_max + 1):
             yield
-            here, nxt = probs[n], probs[n + 1]
+            here, nxt = (n + 1) * counts[n], counts[n + 1]
             if (n + 1) % q != 0:
                 if here != nxt:
                     return f"r={r} n={n}: plateau case broke"
             elif (n + 1) % (q * r) != 0:
-                scaled = Fraction(n + 1, n) * nxt
-                if here < scaled:
+                scaled = n * counts[n]
+                if scaled < nxt:
                     return f"r={r} n={n}: scaled bound broke"
                 equality_expected = (n + 1) // q <= r - 1
-                if (here == scaled) != equality_expected:
+                if (scaled == nxt) != equality_expected:
                     return f"r={r} n={n}: scaled equality set broke"
             else:
                 if here < nxt:

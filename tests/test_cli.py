@@ -486,6 +486,11 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.strip() == "error: parallelism must be at least 1"
 
+    def test_golden_without_out_exits_2_before_any_suite_runs(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "tables", "--golden", "g.json")
+        assert code == 2 and out == ""
+        assert err.strip() == "error: --golden requires --out"
+
     @pytest.mark.parametrize("r, n", [("0", "2"), ("3", "0")])
     def test_bad_phi_override_exits_2(self, capsys, r, n):
         code, out, err = run_cli(

@@ -11,7 +11,6 @@ from permroot.errors import DomainError, EnumerationBoundError, InvalidPermutati
 from permroot.families import (
     _FAMILIES,
     FamilySpec,
-    _cycles_of_one_line,
     classify,
     enumerate_enriched_cycles,
     enumerate_family,
@@ -243,12 +242,26 @@ def test_family_streams_unchanged():
     assert h.hexdigest() == FAMILY_STREAMS_SHA256
 
 
+def cycles_of_images(img):
+    """Canonical cycles of i -> img[i-1], from each least unseen element: a
+    walk of the test's own, shared with neither the scan nor Permutation."""
+    seen, cycles = set(), []
+    for s in range(1, len(img) + 1):
+        if s not in seen:
+            cycle = [s]
+            while img[cycle[-1] - 1] != s:
+                cycle.append(img[cycle[-1] - 1])
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
 def assert_matches_reference(n, specs):
     """Walk S_n once with the plain per-permutation filter and check that
     enumerate_family yields, for every spec, the same members in the same order."""
     streams = [(_FAMILIES[spec.tag][1], spec, enumerate_family(spec)) for spec in specs]
     for img in itertools.permutations(range(1, n + 1)):
-        cycles = _cycles_of_one_line(img)
+        cycles = cycles_of_images(img)
         ls = tuple(map(len, cycles))
         for member, spec, stream in streams:
             if member(ls, spec):

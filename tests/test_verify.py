@@ -15,6 +15,7 @@ from permroot.report import (
     run_property,
     write_reports,
 )
+from permroot.roots import prime_power_decomposition
 from permroot.verify import (
     SUITE_PROPERTIES,
     SUITES,
@@ -166,10 +167,25 @@ def _wrong_at(fn, bad, delta=1):
     return lambda *args: fn(*args) + delta if args == bad else fn(*args)
 
 
+def _wrong_term(r, n, delta):
+    """A wrong ``root_count_sequence`` built from the original: ``delta``
+    added to |S^r_n|."""
+    def wrong(orig):
+        def sequence(*args):
+            counts = list(orig(*args))
+            if args[0] == r:
+                counts[n] += delta
+            return counts
+        return sequence
+    return wrong
+
+
 # (suite, property id, owner module, attribute, wrong replacement built from
 # the original) -> the (counts_checked, counterexample) of each report of
 # that property under REDUCED_BOUNDS, recorded when every property counted
-# its own instances.
+# its own instances.  The root_count_sequence cases were recorded while the
+# monotonicity properties still compared Fractions.  New cases go last: the
+# test ids number the cases.
 FAILING_CASES = [
     (
         "inequalities", "counting/cyc-at-most-reg", counting, "count_cyc",
@@ -208,6 +224,38 @@ FAILING_CASES = [
         "count_enriched_cyc", lambda orig: _wrong_at(orig, (3, 6)),
         [(1, None), (9, None), (4, None), (0, "|Reg_3(6)|=400 != |Cyc*_3(6)|=401"), (18, None)],
     ),
+    (
+        "monotonicity", "counting/prime-power-monotonicity", counting, "root_count_sequence",
+        _wrong_term(2, 4, 1), [(3, "p_2(3)=1/2 < p_2(4)=13/24")],
+    ),
+    (
+        "monotonicity", "counting/prime-power-monotonicity", counting, "root_count_sequence",
+        _wrong_term(3, 4, 5), [(8, "p_3(3)=2/3 < p_3(4)=7/8")],
+    ),
+    (
+        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        _wrong_term(3, 2, 1), [(6, "r=3 n=1: plateau case broke")],
+    ),
+    (
+        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        _wrong_term(2, 2, 1), [(1, "r=2 n=1: scaled bound broke")],
+    ),
+    (
+        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        _wrong_term(2, 2, -1), [(1, "r=2 n=1: scaled equality set broke")],
+    ),
+    (
+        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        _wrong_term(2, 6, 30), [(5, "r=2 n=5: scaled equality set broke")],
+    ),
+    (
+        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        _wrong_term(2, 4, 1), [(3, "r=2 n=3: descent case broke")],
+    ),
+    (
+        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        _wrong_term(2, 4, -1), [(3, "r=2 n=3: descent equality set broke")],
+    ),
 ]
 
 
@@ -219,6 +267,21 @@ def test_failing_reports_unchanged(monkeypatch, suite, property_id, owner, attr,
     monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
     reports = [r for r in run_suite(suite, REDUCED_BOUNDS) if r.property_id == property_id]
     assert [(r.counts_checked, r.counterexample) for r in reports] == expected
+
+
+def test_monotone_structure_to_600_for_prime_powers_to_32():
+    """The monotone property and Chernoff's plateau structure, checked on the
+    counts to n = 600 for every prime power r <= 32."""
+    prime_powers = [r for r in range(2, 33) if prime_power_decomposition(r)]
+    assert len(prime_powers) == 18
+    bounds = {"n_max": 600, "r_values": prime_powers, "plateau_r_values": prime_powers}
+    reports = run_suite("monotonicity", bounds)
+    assert all(r.passed for r in reports)
+    assert {r.property_id: r.counts_checked for r in reports} == {
+        "counting/prime-power-monotonicity": 18 * 600,
+        "counting/plateau-structure": 18 * 600,
+        "counting/non-prime-power-counterexample": 3,
+    }
 
 
 def _merge_fixed_points(cycles):

@@ -38,6 +38,10 @@ Beside the perfbench runs each file records:
   the cli-batch corpus (``perfbench/inputs.cli_inputs(7)``, with the ``r``
   the CLI passes) and ``str()`` of every result, each the best of 3 passes
   in a fresh interpreter, with every round's time and the median;
+* the S_n scan behind ``enumerate_family``, in the same rounds: one pass
+  streaming S_8, Reg_3(9), Cyc_3(9) and Reg_2(8) to warm the scan's memo,
+  then the best of 3 such passes, in a fresh interpreter, with every
+  round's time and the median (``scan_s``);
 * the wall time of ``permroot verify --all --out <tmp>`` at ``--jobs 1`` and
   ``--jobs 2``, each run in a fresh interpreter, over 5 rounds that alternate
   between the checkouts likewise, with every time and the median; the
@@ -107,6 +111,20 @@ NOTATION_PROBE = (
     "print(min(best['parse']), min(best['str']))"
 )
 NOTATION_LAYERS = ("parse", "str")
+SCAN_PROBE = (
+    "import sys, time; sys.path.insert(0, 'src')\n"
+    "from collections import deque\n"
+    "from permroot.families import FamilySpec, enumerate_family\n"
+    "specs = [FamilySpec.everything(8), FamilySpec.regular(3, 9), FamilySpec.cycle(3, 9),\n"
+    "         FamilySpec.regular(2, 8)]\n"
+    "times = []\n"
+    "for _ in range(4):  # a warm-up pass, then the best of 3\n"
+    "    t = time.perf_counter()\n"
+    "    for spec in specs:\n"
+    "        deque(enumerate_family(spec), maxlen=0)\n"
+    "    times.append(time.perf_counter() - t)\n"
+    "print(min(times[1:]))"
+)
 VERIFY_ROUNDS = 5
 VERIFY_JOBS = (1, 2)
 VERIFY_PROBE = "import sys; sys.path.insert(0, 'src'); from permroot.cli import main; sys.exit(main())"
@@ -296,13 +314,15 @@ def main(argv=None) -> int:
     count_times = {label: [] for label in targets}
     sequence = {label: [] for label in targets}
     notation = {label: [] for label in targets}
+    scan = {label: [] for label in targets}
     for i in range(COUNT_ROUNDS):
         for label, checkout in alternate(targets, i):
-            print(f"count_roots, root_count_sequence and notation round {i + 1}/{COUNT_ROUNDS} on {label}",
+            print(f"count, notation and scan round {i + 1}/{COUNT_ROUNDS} on {label}",
                   file=sys.stderr, flush=True)
             count_times[label].append(probe_times(checkout, COUNT_PROBE))
             sequence[label].append(probe_times(checkout, SEQUENCE_PROBE))
             notation[label].append(probe_times(checkout, NOTATION_PROBE))
+            scan[label].extend(probe_times(checkout, SCAN_PROBE))
     verify_runs = {(label, jobs): [] for label in targets for jobs in VERIFY_JOBS}
     for i in range(VERIFY_ROUNDS):
         for label, checkout in alternate(targets, i):
@@ -329,6 +349,7 @@ def main(argv=None) -> int:
             name: {"median": statistics.median(times), "runs": times}
             for name, times in zip(NOTATION_LAYERS, zip(*notation[label]))
         }
+        record["scan_s"] = {"median": statistics.median(scan[label]), "runs": scan[label]}
         times = {jobs: [t for t, _, _ in verify_runs[label, jobs]] for jobs in VERIFY_JOBS}
         record["verify_all_s"] = {
             f"jobs {jobs}": {"median": statistics.median(times[jobs]), "runs": times[jobs]}
