@@ -50,6 +50,7 @@ class TestSmallHelpers:
         assert double_factorial(1) == 1
         assert double_factorial(7) == 105
         assert double_factorial(9) == 945
+        assert [double_factorial(k) for k in (0, 2, 8)] == [1, 2, 384]
 
     def test_count_of_type_matches_enumeration(self):
         for n in range(0, 7):

@@ -347,6 +347,17 @@ def test_scan_above_default_bound_frees_its_memo():
     assert 11 not in families._COMPLETIONS
 
 
+def test_scan_at_the_largest_n_and_at_bound_zero():
+    """n = 12, the largest n enumerated, streams from the identity (closing
+    the scan frees its memo); bound 0 admits n = 0."""
+    assert families._MAX_N == 12
+    scan = enumerate_family(FamilySpec.everything(12), bound=12)
+    assert next(scan) == Permutation.identity(range(1, 13))
+    scan.close()
+    assert 12 not in families._COMPLETIONS
+    assert list(enumerate_family(FamilySpec.everything(0), bound=0)) == [Permutation()]
+
+
 def _walk_completions(sig, m):
     """The keys of the m! completions of a prefix with signature ``sig``, in
     lexicographic order, by walking the cycles of each completion: the

@@ -246,6 +246,18 @@ class TestEnriched:
         assert e == EnrichedPermutation(P("(1 2 4) (3) (5 6)"), 3, (2, None, None))
         assert e == parse("(1 2 4)_2 (3) (5 6)", r=3)
 
+    def test_equality_reads_r_base_and_colors(self, P):
+        e = EnrichedPermutation(P("(1 2 3 4 5 6)"), 3, (1,))
+        same = parse("(1 2 3 4 5 6)_1", r=3)
+        assert e == same and not e != same
+        assert hash(e) == hash(same)
+        for other in (
+            EnrichedPermutation(P("(1 2 3 4 5 6)"), 2, (1,)),  # only r differs
+            EnrichedPermutation(P("(1 3 2 4 5 6)"), 3, (1,)),  # only the base
+            EnrichedPermutation(P("(1 2 3 4 5 6)"), 3, (2,)),  # only the colors
+        ):
+            assert e != other and not e == other
+
     @pytest.mark.parametrize("build, data", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_json_forms_raise_typed_errors(self, build, data):
         with pytest.raises(InvalidPermutationError):

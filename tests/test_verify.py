@@ -5,7 +5,7 @@ import pytest
 
 from permroot import bijections, counting, verify
 from permroot.errors import DomainError
-from permroot.permutation import CycleType
+from permroot.permutation import CycleType, parse
 from permroot.report import (
     VerificationReport,
     golden_compare,
@@ -153,6 +153,13 @@ class TestRegistry:
         normalized = normalize_report_bytes(reports_to_json(reports))
         assert hashlib.sha256(normalized).hexdigest() == REDUCED_REPORTS_SHA256
 
+    def test_unknown_bounds_key_refused_before_any_report(self, monkeypatch):
+        monkeypatch.setattr(verify, "_run_task", lambda task: pytest.fail("a report ran"))
+        with pytest.raises(DomainError, match="^unknown bounds key 'nmax'$"):
+            run_suite("monotonicity", {"nmax": 3})
+        with pytest.raises(DomainError, match="^unknown bounds key 'pair'$"):
+            run_suites(None, {**REDUCED_BOUNDS, "pair": [[2, 2]]})
+
     @pytest.mark.parametrize(
         "bounds",
         [{"r": 0, "n": 2}, {"r": 3, "n": 0}, {"r": 3}, {"n": 2}, {"pairs": [[2, 5]]}],
@@ -180,90 +187,136 @@ def _wrong_term(r, n, delta):
     return wrong
 
 
-# (suite, property id, owner module, attribute, wrong replacement built from
-# the original) -> the (counts_checked, counterexample) of each report of
+def _collide(fn, at_r, member, other):
+    """``fn`` that maps the canonical cycles ``member`` where it maps
+    ``other`` at r = ``at_r``: two members of one domain share an image."""
+    return lambda cycles, r: fn(other if (cycles, r) == (member, at_r) else cycles, r)
+
+
+def _collide_perm(fn, at_r, member, other):
+    """``_collide`` for a map on permutations, the members in cycle notation."""
+    return lambda sigma, r: fn(parse(other) if (str(sigma), r) == (member, at_r) else sigma, r)
+
+
+# (tag, suite, property id, owner module, attribute, wrong replacement built
+# from the original) -> the (counts_checked, counterexample) of each report of
 # that property under REDUCED_BOUNDS, recorded when every property counted
 # its own instances.  The root_count_sequence cases were recorded while the
-# monotonicity properties still compared Fractions.  New cases go last: the
-# test ids number the cases.
+# monotonicity properties still compared Fractions, and the collision cases
+# while the round trips still kept their image sets.  A case's test id is its
+# property id and its tag; the numeric tags are the list positions those
+# cases were first collected under, kept so their ids do not move.
 FAILING_CASES = [
     (
-        "inequalities", "counting/cyc-at-most-reg", counting, "count_cyc",
+        "0", "inequalities", "counting/cyc-at-most-reg", counting, "count_cyc",
         lambda orig: lambda r, n, *method: (
             counting.count_reg(r, n) + 1 if (r, n) == (3, 4) else orig(r, n, *method)
         ),
         [(9, "|Cyc_3(4)|=17 > |Reg_3(4)|=16")],
     ),
     (
-        "perm-core", "perm-core/family-partitions", verify, "is_nearly_regular",
+        "1", "perm-core", "perm-core/family-partitions", verify, "is_nearly_regular",
         lambda orig: lambda p, r: orig(p, r) and str(p) != "(1 2 3) (4)",
         [(132, "bucket k=3 r=3 holds misclassified (1 2 3) (4)")],
     ),
     (
-        "monotonicity", "counting/non-prime-power-counterexample", counting, "prob_root",
+        "2", "monotonicity", "counting/non-prime-power-counterexample", counting, "prob_root",
         lambda orig: _wrong_at(orig, (6, 4)),
         [(1, "p_6(4)=7/6, expected 1/6")],
     ),
     (
-        "monotonicity", "counting/non-prime-power-counterexample", counting, "prob_root",
+        "3", "monotonicity", "counting/non-prime-power-counterexample", counting, "prob_root",
         lambda orig: _wrong_at(orig, (6, 5)),
         [(2, "p_6(5)=4/3, expected 1/3")],
     ),
     (
-        "oeis", "oeis/square-permutation-sequence", counting, "count_roots",
+        "4", "oeis", "oeis/square-permutation-sequence", counting, "count_roots",
         lambda orig: _wrong_at(orig, (2, 5)),
         [(6, "index 5: sequence has 60, computed 61")],
     ),
     (
-        "bijections", "bijections/odd-even-refinement", bijections, "_shrink_first",
+        "5", "bijections", "bijections/odd-even-refinement", bijections, "_shrink_first",
         lambda orig: lambda cycles, r: orig(cycles, r) if sum(map(len, cycles)) != 4 else cycles,
         [(4, "shrink(grow((1) (2) (3) (4))) != original (r=2)")],
     ),
     (
-        "phi-bijection", "bijections/enriched-decomposition-bijection", counting,
+        "6", "phi-bijection", "bijections/enriched-decomposition-bijection", counting,
         "count_enriched_cyc", lambda orig: _wrong_at(orig, (3, 6)),
         [(1, None), (9, None), (4, None), (0, "|Reg_3(6)|=400 != |Cyc*_3(6)|=401"), (18, None)],
     ),
     (
-        "monotonicity", "counting/prime-power-monotonicity", counting, "root_count_sequence",
+        "7", "monotonicity", "counting/prime-power-monotonicity", counting, "root_count_sequence",
         _wrong_term(2, 4, 1), [(3, "p_2(3)=1/2 < p_2(4)=13/24")],
     ),
     (
-        "monotonicity", "counting/prime-power-monotonicity", counting, "root_count_sequence",
+        "8", "monotonicity", "counting/prime-power-monotonicity", counting, "root_count_sequence",
         _wrong_term(3, 4, 5), [(8, "p_3(3)=2/3 < p_3(4)=7/8")],
     ),
     (
-        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        "9", "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
         _wrong_term(3, 2, 1), [(6, "r=3 n=1: plateau case broke")],
     ),
     (
-        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        "10", "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
         _wrong_term(2, 2, 1), [(1, "r=2 n=1: scaled bound broke")],
     ),
     (
-        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        "11", "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
         _wrong_term(2, 2, -1), [(1, "r=2 n=1: scaled equality set broke")],
     ),
     (
-        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        "12", "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
         _wrong_term(2, 6, 30), [(5, "r=2 n=5: scaled equality set broke")],
     ),
     (
-        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        "13", "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
         _wrong_term(2, 4, 1), [(3, "r=2 n=3: descent case broke")],
     ),
     (
-        "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
+        "14", "monotonicity", "counting/plateau-structure", counting, "root_count_sequence",
         _wrong_term(2, 4, -1), [(3, "r=2 n=3: descent equality set broke")],
     ),
+    # a forward map that sends two members of one domain to one image, its
+    # inverse left as it is: the round trip of one of them fails
+    (
+        "collision", "bijections", "bijections/extract-insert-roundtrip", bijections,
+        "_extract", lambda orig: _collide(orig, 3, ((1,), (2,)), ((1, 2),)),
+        [(51, "insert(extract((1) (2))) != original (r=3)")],
+    ),
+    (
+        "collision", "bijections", "bijections/grow-shrink-roundtrip", bijections,
+        "_grow_first", lambda orig: _collide(orig, 3, ((1,), (2,), (3,)), ((1,), (2, 3))),
+        [(50, "shrink(grow((1) (2) (3))) != original (r=3)")],
+    ),
+    (
+        "collision", "bijections", "bijections/nearly-regular-roundtrip", bijections,
+        "to_nearly_regular",
+        lambda orig: _collide_perm(orig, 2, "(1) (2) (3) (4)", "(1) (2 3 4)"),
+        [(1, "nearly-regular round trip broke on (1) (2) (3) (4) (r=2)")],
+    ),
+    (
+        "collision", "phi-bijection", "bijections/enriched-decomposition-bijection",
+        bijections, "to_enriched_cycles",
+        lambda orig: _collide_perm(orig, 2, "(1) (2) (3) (4)", "(1) (2 3 4)"),
+        [
+            (1, None), (1, "round trip broke on (1) (2) (3) (4) (r=2)"), (4, None),
+            (400, None), (18, None),
+        ],
+    ),
 ]
+CASE_IDS = [f"{case[2]}-{case[0]}" for case in FAILING_CASES]
+
+
+def test_failing_case_ids_are_unique():
+    assert len(set(CASE_IDS)) == len(CASE_IDS)
 
 
 @pytest.mark.parametrize(
-    "suite,property_id,owner,attr,wrong,expected", FAILING_CASES,
-    ids=[f"{case[1]}-{i}" for i, case in enumerate(FAILING_CASES)],
+    "tag,suite,property_id,owner,attr,wrong,expected", FAILING_CASES, ids=CASE_IDS
 )
-def test_failing_reports_unchanged(monkeypatch, suite, property_id, owner, attr, wrong, expected):
+def test_failing_reports_unchanged(
+    monkeypatch, tag, suite, property_id, owner, attr, wrong, expected
+):
     monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
     reports = [r for r in run_suite(suite, REDUCED_BOUNDS) if r.property_id == property_id]
     assert [(r.counts_checked, r.counterexample) for r in reports] == expected
