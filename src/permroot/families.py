@@ -17,7 +17,9 @@ and memoized per n and level, never with n! entries.  Every signature is the
 chain of ``_reduce`` steps from the empty prefix's.  So the membership test
 runs once per (first length, cycle type), and only members get cycles, from
 the same walk of the images that ``Permutation.from_mapping`` runs
-(``permutation._walk_cycles``).
+(``permutation._walk_cycles``).  Callers that read only counts or cycle
+types take ``_member_keys`` instead, the same scan handing out each
+member's key straight from the chunk.
 """
 
 from __future__ import annotations
@@ -299,18 +301,18 @@ def _prefixes(prefix: tuple, heads: list[int], sig: bytes, m: int) -> Iterator[t
             yield from _prefixes(prefix + (head,), rest, _reduce(sig, len(heads), c), m)
 
 
-def enumerate_family(
-    spec: FamilySpec, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Iterator[Permutation]:
-    """Yield each member of the family exactly once, in lexicographic order
-    of one-line notation.  Refuses n beyond ``bound`` or beyond 12.
+def _scan(spec: FamilySpec, bound: int) -> Iterator[tuple]:
+    """The scan under ``enumerate_family`` and ``_member_keys``: ``(prefix,
+    heads, chunk, mask, keys)`` for each prefix with a member, in
+    lexicographic order; ``mask`` marks the members among the chunk's
+    completions, ``keys[i]`` is the key of key id i.
 
     Every prefix (the first n - m images, m = min(n, _TAIL)) is reached by
     a depth-first walk from the empty one (``_prefixes``), its signature the
     chain of reductions from the empty prefix's; the m! completions of each
     signature are classified once per process (see _completions; above the
     default bound, once per scan); the membership test then runs once per
-    key, and only members get cycles (``_walk_cycles``)."""
+    key."""
     check_type(spec, FamilySpec, "spec")
     check_int(bound, "bound", 0)
     if spec.n > bound:
@@ -322,24 +324,42 @@ def enumerate_family(
     m = min(n, _TAIL)
     memo, key_ids = _COMPLETIONS.setdefault(n, ([{} for _ in range(m + 1)], {}))
     verdicts = bytearray(256)  # key id -> 1 for a member
-    tested = 0  # the first `tested` key ids have their verdict
+    keys: list[tuple] = []  # the first len(keys) key ids have their key and verdict
     root = bytes([*range(n), *[1] * n, 0])  # the empty prefix: n paths, 1 on the first
-    elements = range(1, n + 1)
     try:
         # a prefix holds an unused 0 first, so prefix + tail maps i to its image
-        for prefix, heads, sig in _prefixes((0,), list(elements), root, m):
+        for prefix, heads, sig in _prefixes((0,), list(range(1, n + 1)), root, m):
             chunk = _completions(sig, m, memo, key_ids)
-            if tested < len(key_ids):
-                for key in itertools.islice(key_ids, tested, None):
+            if len(keys) < len(key_ids):
+                for key in itertools.islice(key_ids, len(keys), None):
                     verdicts[key_ids[key]] = 1 if member(key, spec) else 0
-                tested = len(key_ids)
+                    keys.append(key)
             mask = chunk.translate(verdicts)
             if 1 in mask:
-                for tail in itertools.compress(itertools.permutations(heads), mask):
-                    yield Permutation._from_canonical(_walk_cycles(elements, prefix + tail))
+                yield prefix, heads, chunk, mask, keys
     finally:
         if n > DEFAULT_ENUMERATION_BOUND:
             _COMPLETIONS.pop(n, None)
+
+
+def enumerate_family(
+    spec: FamilySpec, bound: int = DEFAULT_ENUMERATION_BOUND
+) -> Iterator[Permutation]:
+    """Yield each member of the family exactly once, in lexicographic order
+    of one-line notation.  Refuses n beyond ``bound`` or beyond 12.  Only
+    members get cycles, from one walk of their images (``_walk_cycles``)."""
+    for prefix, heads, _, mask, _ in _scan(spec, bound):
+        elements = range(1, len(prefix) + len(heads))  # the prefix holds 0 too
+        for tail in itertools.compress(itertools.permutations(heads), mask):
+            yield Permutation._from_canonical(_walk_cycles(elements, prefix + tail))
+
+
+def _member_keys(spec: FamilySpec, bound: int = DEFAULT_ENUMERATION_BOUND) -> Iterator[tuple]:
+    """The key (length of the cycle of 1, the other lengths sorted; () for
+    n = 0) of each member of ``enumerate_family(spec, bound)``, in the same
+    order, read from the chunks: no cycle walk and no ``Permutation``."""
+    for _, _, chunk, mask, keys in _scan(spec, bound):
+        yield from map(keys.__getitem__, itertools.compress(chunk, mask))
 
 
 def enumerate_regular_on(elements, r: int) -> Iterator[Permutation]:

@@ -12,12 +12,14 @@ classical criterion.
 
 Construction stays brute force and is the independent oracle the criteria
 are validated against: ``find_root_bruteforce`` and
-``brute_force_root_table`` visit every permutation of the ground set in
+``brute_force_root_tables`` visit every permutation of the ground set in
 lexicographic order and compare its r-th power with the target, never
 looking at cycle types.  A power is built by square-and-multiply on
 one-line tuples (each composition one ``itemgetter`` call), with r reduced
 mod lcm(1..n), so a huge r costs no more than a small one; the search first
 compares where the power sends the least element, one walk of its cycle.
+One pass of the tables serves several degrees, each candidate's powers in
+increasing order of the reduced exponent, each from the one before.
 """
 
 from __future__ import annotations
@@ -194,17 +196,45 @@ def find_root_bruteforce(sigma: Permutation, r: int) -> Permutation | None:
     return None
 
 
+def brute_force_root_tables(n: int, r_values) -> list[dict[tuple[int, ...], tuple[int, ...]]]:
+    """``[brute_force_root_table(n, r) for r in r_values]`` from one pass over
+    S_n: each candidate's powers in increasing order of r % lcm(1..n), each
+    from the one before (a unit step is one composition).  A degree equal to
+    an earlier one mod lcm(1..n) gets a copy of its table."""
+    check_int(n, "n", 0)
+    r_values = list(r_values)
+    for r in r_values:
+        check_int(r, "root degree", 1)
+    _check_brute_force_size(n)
+    exponents = [r % _period(n) for r in r_values]
+    tables = {e: {} for e in sorted(set(exponents))}
+    # (step from the exponent before, from 0, and the table it fills)
+    steps = [(e - d, table) for d, (e, table) in zip([0, *tables], tables.items())]
+    shared = {}  # with several tables, one key tuple for all of them
+    if steps:
+        (first, first_table), *later = steps
+        for img in itertools.permutations(range(1, n + 1)):
+            # (0, *img) is img on 0..n fixing 0, so a power is 1-based after [1:]
+            full = (0, *img)
+            power = _power(full, first)
+            key = power[1:]
+            first_table.setdefault(shared.setdefault(key, key) if later else key, img)
+            if later:
+                times_img = itemgetter(*full)
+                for step, table in later:
+                    times = times_img if step == 1 else itemgetter(*_power(full, step))
+                    power = times(power)
+                    key = power[1:]
+                    table.setdefault(shared.setdefault(key, key), img)
+    seen: set[int] = set()
+    out = []
+    for e in exponents:
+        out.append(dict(tables[e]) if e in seen else tables[e])
+        seen.add(e)
+    return out
+
+
 def brute_force_root_table(n: int, r: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """One pass over S_n: map each one-line permutation with an r-th root to
     its lexicographically least root (also in one-line form); any r >= 1."""
-    check_int(n, "n", 0)
-    check_int(r, "root degree", 1)
-    _check_brute_force_size(n)
-    e = r % _period(n)
-    table: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for img in itertools.permutations(range(1, n + 1)):
-        # (0, *img) is img on 0..n fixing 0, so its power is 1-based after [1:]
-        power = _power((0, *img), e)[1:]
-        if power not in table:
-            table[power] = img
-    return table
+    return brute_force_root_tables(n, [r])[0]

@@ -42,6 +42,7 @@ from . import oeis
 from .errors import DomainError, check_int
 from .families import (
     FamilySpec,
+    _member_keys,
     _regular,
     enumerate_enriched_cycles,
     enumerate_enriched_nearly_regular,
@@ -54,6 +55,7 @@ from .permutation import CycleType, Permutation, parse
 from .report import VerificationReport, run_property
 from .roots import (
     brute_force_root_table,
+    brute_force_root_tables,
     find_root_bruteforce,
     has_root_general,
     has_root_prime_power,
@@ -106,6 +108,11 @@ def _q_family(r: int, k: int, n: int):
     return enumerate_family(FamilySpec.first_cycle(r, k, n), bound=max(n, 10))
 
 
+def _q_family_size(r: int, k: int, n: int) -> int:
+    """|Q_{r,k}(n)| by enumeration, from the key stream."""
+    return sum(1 for _ in _member_keys(FamilySpec.first_cycle(r, k, n), bound=max(n, 10)))
+
+
 def _partitions(total: int):
     def rec(remaining, max_part, acc):
         if remaining == 0:
@@ -138,8 +145,9 @@ def _first_cycle_law(sigma: Permutation, tau, r: int) -> str | None:
 
 
 def _enumerated_enriched_count(r: int, n: int) -> int:
-    """|Cyc*_r(n)| by enumeration: r - 1 colorings per cycle."""
-    return sum((r - 1) ** len(p.cycles) for p in enumerate_family(FamilySpec.cycle(r, n)))
+    """|Cyc*_r(n)| by enumeration: r - 1 colorings per cycle, one key entry
+    per cycle."""
+    return sum((r - 1) ** len(key) for key in _member_keys(FamilySpec.cycle(r, n)))
 
 
 def _representative(lengths) -> Permutation:
@@ -247,9 +255,7 @@ def _family_partitions(n_max, r_values):
         for n in range(1, n_max + 1):
             buckets = {k: list(_q_family(r, k, n)) for k in range(1, n + 1)}
             reg = cnt.count_reg(r, n)
-            nreg_scan = sum(
-                1 for _ in enumerate_family(FamilySpec.nearly_regular(r, n))
-            )
+            nreg_scan = sum(1 for _ in _member_keys(FamilySpec.nearly_regular(r, n)))
             for k, members in buckets.items():
                 yield from itertools.repeat(None, len(members))  # one instance per member
                 in_bucket_family = is_regular if k % r else is_nearly_regular
@@ -450,8 +456,11 @@ def _merge_distinctness(grids):
 
 def _phi_ranges(bounds: dict) -> list[dict]:
     """One range per (r, rn) pair: ``pairs``, else the one pair given by
-    ``r`` and ``n`` together, else PHI_PAIRS."""
+    ``r`` and ``n`` together, else PHI_PAIRS; ``pairs`` with ``r`` or ``n``
+    is refused."""
     if "pairs" in bounds:
+        if "r" in bounds or "n" in bounds:
+            raise DomainError("the phi-bijection override takes pairs, or r and n, not both")
         pairs = bounds["pairs"]
     elif "r" in bounds or "n" in bounds:
         if "r" not in bounds or "n" not in bounds:
@@ -495,30 +504,34 @@ def _enriched_decomposition_bijection(r, n, rn):
 
 # -- roots suite ------------------------------------------------------------------
 
+def _criterion_on(n: int, r_values):
+    """criterion-vs-bruteforce on S_n, whose tables live only in this call.
+    The keys come in the order of itertools.permutations; per r the
+    criterion decides each cycle type once and meets the table in bulk."""
+    keys = list(_member_keys(FamilySpec.everything(n)))
+    type_of = {key: tuple(sorted(key)) for key in dict.fromkeys(keys)}
+    types = dict.fromkeys(type_of.values())
+    for r, table in zip(r_values, brute_force_root_tables(n, r_values)):
+        verdicts = {lengths: type_has_root(lengths, r) for lengths in types}
+        decided = list(map(verdicts.__getitem__, map(type_of.__getitem__, keys)))
+        held = list(map(table.__contains__, itertools.permutations(range(1, n + 1))))
+        if decided != held:
+            i = next(i for i, pair in enumerate(zip(decided, held)) if pair[0] != pair[1])
+            yield from itertools.repeat(None, i + 1)
+            img = next(itertools.islice(itertools.permutations(range(1, n + 1)), i, None))
+            p = Permutation.from_one_line(range(1, n + 1), img)
+            return f"criterion {decided[i]} != brute force on {p} (r={r})"
+        yield from itertools.repeat(None, len(held))
+
+
 @prop(
     "roots", "roots/criterion-vs-bruteforce",
     n_max=("n_max", 7), r_values=("r_values", tuple(range(2, 10))),
 )
 def _criterion_vs_bruteforce(n_max, r_values):
     for n in range(n_max + 1):
-        # one walk of S_n for the cycle types (one shared tuple per type), in
-        # the lexicographic order itertools.permutations also follows; then,
-        # per r, one criterion verdict per type and one root table alive
-        types: dict[tuple, tuple] = {}
-        walk = []
-        for p in enumerate_family(FamilySpec.everything(n)):
-            lengths = tuple(sorted(p.cycle_lengths()))
-            walk.append(types.setdefault(lengths, lengths))
-        for r in r_values:
-            verdicts = {lengths: type_has_root(lengths, r) for lengths in types}
-            table = brute_force_root_table(n, r)
-            images = itertools.permutations(range(1, n + 1))
-            for img, lengths in zip(images, walk, strict=True):
-                verdict = verdicts[lengths]
-                yield
-                if verdict != (img in table):
-                    p = Permutation.from_one_line(range(1, n + 1), img)
-                    return f"criterion {verdict} != brute force on {p} (r={r})"
+        if broken := (yield from _criterion_on(n, r_values)):
+            return broken
 
 
 @prop("roots", "roots/prime-power-consistency", n_max=10)
@@ -621,7 +634,7 @@ def _q_family_counts(n_max):
             for k in range(1, n + 1):
                 yield
                 formula = cnt.count_q_family(r, k, n)
-                enumerated = sum(1 for _ in _q_family(r, k, n))
+                enumerated = _q_family_size(r, k, n)
                 if formula != enumerated:
                     return f"|Q_{r},{k}({n})| formula={formula} enumerated={enumerated}"
                 if k < n and (n - k) % r != 0:
@@ -642,11 +655,11 @@ def _odd_even_family_counts(n_max, formula_n_max):
         for k in range(1, n // 2 + 2):
             if 2 * k - 1 <= n:
                 yield
-                if cnt.count_AP(n, k, "odd") != sum(1 for _ in _q_family(2, 2 * k - 1, n)):
+                if cnt.count_AP(n, k, "odd") != _q_family_size(2, 2 * k - 1, n):
                     return f"|A_({n},{2 * k - 1})| mismatch"
             if 2 * k <= n:
                 yield
-                if cnt.count_AP(n, k, "even") != sum(1 for _ in _q_family(2, 2 * k, n)):
+                if cnt.count_AP(n, k, "even") != _q_family_size(2, 2 * k, n):
                     return f"|P_({n},{2 * k})| mismatch"
     # formula-level equalities between neighbours
     for big_n in range(2, formula_n_max + 1):
@@ -669,9 +682,7 @@ def _merged_type_counts(n_max, grids):
         for n in range(n_max + 1):
             yield
             dp = cnt.count_cyc_qr(q, r, n)
-            enumerated = sum(
-                1 for _ in enumerate_family(FamilySpec.uniform_multiples(q, r, n))
-            )
+            enumerated = sum(1 for _ in _member_keys(FamilySpec.uniform_multiples(q, r, n)))
             if dp != enumerated:
                 return f"|Cyc_({q},{r})({n})| dp={dp} enumerated={enumerated}"
             if n % (q * r) != 0 and dp != 0:
@@ -685,11 +696,13 @@ def _merged_type_counts(n_max, grids):
 def _singular_type_counts(n_max, ratio_n_max):
     for q in (2, 3):
         for n in range(n_max + 1):
+            members: dict[tuple, int] = {}  # key -> its number of members
+            for key in _member_keys(FamilySpec.everything(n)):
+                members[key] = members.get(key, 0) + 1
             observed: dict[CycleType, int] = {}
-            for p in enumerate_family(FamilySpec.everything(n)):
-                _, singular = p.split_parts(q)
-                rho = singular.cycle_type()
-                observed[rho] = observed.get(rho, 0) + 1
+            for key, count in members.items():
+                rho = CycleType.of_lengths(ln for ln in key if ln % q == 0)
+                observed[rho] = observed.get(rho, 0) + count
             for total in range(0, n + 1, q):
                 for rho in _types_with_total(total, q):
                     yield

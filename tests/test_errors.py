@@ -119,6 +119,9 @@ CALLS = {
     "find_root_bruteforce": (lambda r: roots.find_root_bruteforce(SIGMA, r), (WIDE,)),
     "is_qr_divisible": (lambda q, r: roots.is_qr_divisible(RHO, q, r), (WIDE, WIDE)),
     "brute_force_root_table": (roots.brute_force_root_table, (SMALL, WIDE)),
+    "brute_force_root_tables": (
+        lambda n, r: roots.brute_force_root_tables(n, [2, r]), (SMALL, WIDE)
+    ),
     "insert_element": (lambda x, r: bij.insert_element(x, parse("(2 3)"), r), (WIDE, WIDE)),
     "extend_regular": (lambda j, r: bij.extend_regular(parse("(1 2) (3)"), j, r), (WIDE, WIDE)),
     "extract_element": (lambda r: bij.extract_element(SIGMA, r), (WIDE,)),
@@ -171,6 +174,8 @@ def integer_calls(draw):
 @example(("has_root_prime_power", (2, 2**64)))
 @example(("brute_force_root_table", (3, True)))
 @example(("brute_force_root_table", (-1, 2)))
+@example(("brute_force_root_tables", (3, True)))
+@example(("brute_force_root_tables", (True, 3)))
 @example(("prime_power_decomposition", ("7",)))
 @example(("falling_factorial", ("a", 2)))
 @example(("term_checks", ("1",)))
@@ -236,6 +241,10 @@ MOTIVATING_CASES = [
     (parse_cycle_type, (None,)),
     (EnrichedPermutation, ("(1 2)", 2, (1,))),
     (Permutation([[1, 2]]).compose, (None,)),
+    (roots.brute_force_root_tables, (3, [2, True])),
+    (roots.brute_force_root_tables, (3, [2, 2.5])),
+    (roots.brute_force_root_tables, (-1, [2])),
+    (roots.brute_force_root_tables, (9, [2, 3])),
 ]
 
 

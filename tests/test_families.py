@@ -301,6 +301,45 @@ def test_prefix_scan_matches_per_permutation_filter_at_9():
     ])
 
 
+def _key_of(p):
+    """The scan's key of a member: the length of the cycle of 1, then the
+    other lengths sorted; () for the empty permutation."""
+    c = p.cycles
+    return (len(c[0]), *sorted(map(len, c[1:]))) if c else ()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_member_keys_follow_the_member_stream(n):
+    specs = list(oracle_grid(n))
+    assert {spec.tag for spec in specs} == set(_FAMILIES) - ({"q"} if n == 0 else set())
+    for spec in specs:
+        assert list(families._member_keys(spec)) == list(map(_key_of, enumerate_family(spec))), spec
+    if n == 0:
+        assert list(families._member_keys(FamilySpec.everything(0), bound=0)) == [()]
+
+
+@pytest.mark.parametrize("args", [
+    ("reg",), (FamilySpec.everything(3), -1), (FamilySpec.everything(3), True),
+    (FamilySpec.everything(3), "9"), (FamilySpec.everything(11),),
+    (FamilySpec.everything(13), 13),
+], ids=["not-a-spec", "negative-bound", "bool-bound", "str-bound", "past-bound", "n-13"])
+def test_member_keys_raise_what_enumerate_family_raises(args):
+    raised = []
+    for stream in (enumerate_family, families._member_keys):
+        with pytest.raises(DomainError) as caught:
+            next(stream(*args))
+        raised.append((type(caught.value), str(caught.value)))
+    assert raised[0] == raised[1]
+
+
+def test_member_keys_free_the_memo_above_the_default_bound():
+    keys = families._member_keys(FamilySpec.everything(11), bound=11)
+    assert next(keys) == (1,) * 11
+    assert 11 in families._COMPLETIONS
+    keys.close()
+    assert 11 not in families._COMPLETIONS
+
+
 def _compositions(n):
     if n == 0:
         yield ()

@@ -17,6 +17,7 @@ from permroot.permutation import Permutation, parse_cycle_type
 from permroot.roots import (
     TRIAL_DIVISION_BOUND,
     brute_force_root_table,
+    brute_force_root_tables,
     bunch_sizes,
     find_root_bruteforce,
     has_root_general,
@@ -127,11 +128,13 @@ class TestGeneralCriterion:
         tracemalloc.start()
         try:
             verdicts = [has_root_general(p, r) for p in perms for r in (2, 3, 6)]
+            sizes = [len(table) for table in roots.brute_force_root_tables(5, (2, 3, 6, 2))]
             gc.collect()
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
         assert len(verdicts) == 300
+        assert sizes == [60, 80, 40, 60]
         held = snapshot.filter_traces([tracemalloc.Filter(True, roots.__file__)])
         assert held.statistics("filename") == []
 
@@ -202,6 +205,23 @@ class TestBruteForceAgainstPowers:
     def test_table_matches_powers(self, n):
         for r in _degrees(n):
             assert list(brute_force_root_table(n, r).items()) == list(_power_table(n, r).items())
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_one_pass_matches_one_table_per_degree(self, n):
+        """Repeats, descending degrees, two degrees equal mod lcm(1..n), r = 1
+        and a huge r: the tables equal the one-degree tables item for item,
+        insertion order included, and a repeat gets a table of its own."""
+        period = math.lcm(*range(1, n + 1))
+        for degrees in (
+            [2, 3, 2], [9, 8, 6, 5, 4, 3, 2], [3, 3 + period, 2], [1, 10**18 + 1, 4, 1],
+            [period + 2, 7, period], [5],
+        ):
+            tables = brute_force_root_tables(n, degrees)
+            assert [list(t.items()) for t in tables] == [
+                list(brute_force_root_table(n, r).items()) for r in degrees
+            ], degrees
+            assert len({id(t) for t in tables}) == len(degrees)
+        assert brute_force_root_tables(n, []) == []
 
     @pytest.mark.parametrize("n", range(0, 6))
     def test_find_agrees_with_table(self, n):

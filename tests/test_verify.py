@@ -168,6 +168,16 @@ class TestRegistry:
         with pytest.raises(DomainError):
             run_suite("phi-bijection", bounds)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"pairs": [[2, 2]], "r": 3, "n": 2}, {"pairs": [[2, 2]], "r": 3}, {"pairs": [], "n": 2}],
+    )
+    def test_phi_override_naming_both_forms_refused_before_any_report(self, monkeypatch, bounds):
+        monkeypatch.setattr(verify, "_run_task", lambda task: pytest.fail("a report ran"))
+        message = "^the phi-bijection override takes pairs, or r and n, not both$"
+        with pytest.raises(DomainError, match=message):
+            run_suite("phi-bijection", bounds)
+
 
 def _wrong_at(fn, bad, delta=1):
     """``fn`` with ``delta`` added to its value on the arguments ``bad``."""
@@ -202,9 +212,10 @@ def _collide_perm(fn, at_r, member, other):
 # from the original) -> the (counts_checked, counterexample) of each report of
 # that property under REDUCED_BOUNDS, recorded when every property counted
 # its own instances.  The root_count_sequence cases were recorded while the
-# monotonicity properties still compared Fractions, and the collision cases
-# while the round trips still kept their image sets.  A case's test id is its
-# property id and its tag; the numeric tags are the list positions those
+# monotonicity properties still compared Fractions, the collision cases
+# while the round trips still kept their image sets, and the bulk cases while
+# those properties still compared one member at a time.  A case's test id is
+# its property id and its tag; the numeric tags are the list positions those
 # cases were first collected under, kept so their ids do not move.
 FAILING_CASES = [
     (
@@ -302,6 +313,33 @@ FAILING_CASES = [
             (1, None), (1, "round trip broke on (1) (2) (3) (4) (r=2)"), (4, None),
             (400, None), (18, None),
         ],
+    ),
+    # properties that compare whole streams in bulk: the first mismatch must
+    # keep its place in the count and its text
+    (
+        "bulk", "roots", "roots/criterion-vs-bruteforce", verify, "type_has_root",
+        lambda orig: lambda lengths, r: orig(lengths, r) != ((tuple(lengths), r) == ((2, 3), 3)),
+        [(216, "criterion True != brute force on (1 2) (3 4 5) (r=3)")],
+    ),
+    (
+        "bulk", "counting", "counting/singular-type-counts", counting, "count_S_rho_q",
+        lambda orig: _wrong_at(orig, (CycleType([(2, 2)]), 2, 4)),
+        [(10, "|S_(rho=2^2,2)(4)| formula=4 enumerated=3")],
+    ),
+    (
+        "bulk", "counting", "counting/q-family-counts", counting, "count_q_family",
+        lambda orig: _wrong_at(orig, (3, 2, 4)),
+        [(23, "|Q_3,2(4)| formula=7 enumerated=6")],
+    ),
+    (
+        "bulk", "counting", "counting/odd-even-family-counts", counting, "count_AP",
+        lambda orig: _wrong_at(orig, (5, 2, "odd")),
+        [(12, "|A_(5,3)| mismatch")],
+    ),
+    (
+        "bulk", "counting", "counting/merged-type-counts", counting, "count_cyc_qr",
+        lambda orig: _wrong_at(orig, (2, 2, 4)),
+        [(5, "|Cyc_(2,2)(4)| dp=4 enumerated=3")],
     ),
 ]
 CASE_IDS = [f"{case[2]}-{case[0]}" for case in FAILING_CASES]

@@ -42,6 +42,10 @@ Beside the perfbench runs each file records:
   streaming S_8, Reg_3(9), Cyc_3(9) and Reg_2(8) to warm the scan's memo,
   then the best of 3 such passes, in a fresh interpreter, with every
   round's time and the median (``scan_s``);
+* the brute-force root tables, in the same rounds: the one-degree
+  ``brute_force_root_table(7, r)`` for r = 2..9, the best of 3 such passes
+  in a fresh interpreter, with every round's time and the median
+  (``bruteforce_s``);
 * the wall time of ``permroot verify --all --out <tmp>`` at ``--jobs 1`` and
   ``--jobs 2``, each run in a fresh interpreter, over 5 rounds that alternate
   between the checkouts likewise, with every time and the median; the
@@ -124,6 +128,17 @@ SCAN_PROBE = (
     "        deque(enumerate_family(spec), maxlen=0)\n"
     "    times.append(time.perf_counter() - t)\n"
     "print(min(times[1:]))"
+)
+BRUTEFORCE_PROBE = (
+    "import sys, time; sys.path.insert(0, 'src')\n"
+    "from permroot.roots import brute_force_root_table\n"
+    "times = []\n"
+    "for _ in range(3):\n"
+    "    t = time.perf_counter()\n"
+    "    for r in range(2, 10):\n"
+    "        brute_force_root_table(7, r)\n"
+    "    times.append(time.perf_counter() - t)\n"
+    "print(min(times))"
 )
 VERIFY_ROUNDS = 5
 VERIFY_JOBS = (1, 2)
@@ -315,14 +330,16 @@ def main(argv=None) -> int:
     sequence = {label: [] for label in targets}
     notation = {label: [] for label in targets}
     scan = {label: [] for label in targets}
+    bruteforce = {label: [] for label in targets}
     for i in range(COUNT_ROUNDS):
         for label, checkout in alternate(targets, i):
-            print(f"count, notation and scan round {i + 1}/{COUNT_ROUNDS} on {label}",
+            print(f"count, notation, scan and brute-force round {i + 1}/{COUNT_ROUNDS} on {label}",
                   file=sys.stderr, flush=True)
             count_times[label].append(probe_times(checkout, COUNT_PROBE))
             sequence[label].append(probe_times(checkout, SEQUENCE_PROBE))
             notation[label].append(probe_times(checkout, NOTATION_PROBE))
             scan[label].extend(probe_times(checkout, SCAN_PROBE))
+            bruteforce[label].extend(probe_times(checkout, BRUTEFORCE_PROBE))
     verify_runs = {(label, jobs): [] for label in targets for jobs in VERIFY_JOBS}
     for i in range(VERIFY_ROUNDS):
         for label, checkout in alternate(targets, i):
@@ -350,6 +367,9 @@ def main(argv=None) -> int:
             for name, times in zip(NOTATION_LAYERS, zip(*notation[label]))
         }
         record["scan_s"] = {"median": statistics.median(scan[label]), "runs": scan[label]}
+        record["bruteforce_s"] = {
+            "median": statistics.median(bruteforce[label]), "runs": bruteforce[label]
+        }
         times = {jobs: [t for t, _, _ in verify_runs[label, jobs]] for jobs in VERIFY_JOBS}
         record["verify_all_s"] = {
             f"jobs {jobs}": {"median": statistics.median(times[jobs]), "runs": times[jobs]}
